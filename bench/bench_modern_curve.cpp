@@ -14,9 +14,10 @@
 // the per-backend rows (including the pre-optimization `baseline_*`
 // timings, pinned from the seed run so the speedup is auditable without
 // digging through git), pairing-engine sub-timings (Miller loop vs
-// final exponentiation, cold vs cached lines), and the global metrics
-// registry snapshot, so the per-backend probe prefixes (core.* vs
-// core.bls381.*) are visible in one artifact.
+// final exponentiation, cold vs cached lines), the per-update G1 unit
+// costs (square root, decode, subgroup test, H1, both ladders), and the
+// global metrics registry snapshot, so the per-backend probe prefixes
+// (core.* vs core.bls381.*) are visible in one artifact.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -118,6 +119,29 @@ int main(int argc, char** argv) {
   double pair_cached_ms =
       bench::time_ms(reps, [&] { (void)ctx.pair_cached(bp, bq); });
 
+  // G1 anatomy: the per-update unit costs of a receiver's catch-up (the
+  // decode of every fetched update, its H1, and the G1 scalar ladders).
+  // Each op is well under a millisecond, hence the higher rep count.
+  const int g1_reps = 200;
+  const bls12::Scalar gk = ctx.random_scalar(rng);
+  const bls12::Fp sq_in = bp.x.squared() * bp.x + bls12::Fp::from_u64(ctx.fp(), 4);
+  const Bytes bp_wire = ctx.g1_to_bytes(bp);
+  std::uint32_t h1_ctr = 0;
+  struct G1Anatomy {
+    double sqrt_us, from_bytes_us, in_subgroup_us, hash_to_g1_us, mul_us,
+        mul_secret_us;
+  };
+  auto us = [&](const std::function<void()>& fn) {
+    return 1e3 * bench::time_ms(g1_reps, fn);
+  };
+  const G1Anatomy g1a{
+      us([&] { (void)sq_in.sqrt(); }),
+      us([&] { (void)ctx.g1_from_bytes(bp_wire); }),
+      us([&] { (void)ctx.g1_in_subgroup(bp); }),
+      us([&] { (void)ctx.hash_to_g1(be32(h1_ctr++)); }),
+      us([&] { (void)ctx.g1_mul(bp, gk); }),
+      us([&] { (void)ctx.g1_mul_secret(bp, gk); })};
+
   std::printf("%-32s | %8s | %9s | %8s | %8s | %9s | %9s | %s\n", "backend",
               "issue ms", "verify ms", "enc ms", "dec ms", "update B",
               "ct-hdr B", "security");
@@ -134,6 +158,11 @@ int main(int argc, char** argv) {
   std::printf("pairing anatomy: prepare_g2 %.2f ms, miller %.2f ms, "
               "final_exp %.2f ms, pair %.2f ms, pair(cached lines) %.2f ms\n",
               prep_ms, miller_ms, fexp_ms, pair_ms, pair_cached_ms);
+  std::printf("G1 anatomy: sqrt %.1f us, g1_from_bytes %.1f us, "
+              "g1_in_subgroup %.1f us, hash_to_g1 %.1f us, g1_mul %.1f us, "
+              "g1_mul_secret %.1f us\n",
+              g1a.sqrt_us, g1a.from_bytes_us, g1a.in_subgroup_us,
+              g1a.hash_to_g1_us, g1a.mul_us, g1a.mul_secret_us);
 
   const char* json_path = argc > 1 ? argv[1] : "BENCH_modern_curve.json";
   if (std::FILE* f = std::fopen(json_path, "w")) {
@@ -162,6 +191,13 @@ int main(int argc, char** argv) {
                  "\"miller_loop_ms\": %.3f, \"final_exp_ms\": %.3f, "
                  "\"pair_ms\": %.3f, \"pair_cached_ms\": %.3f},\n",
                  prep_ms, miller_ms, fexp_ms, pair_ms, pair_cached_ms);
+    std::fprintf(f,
+                 "  \"g1_anatomy_bls381\": {\"sqrt_us\": %.2f, "
+                 "\"g1_from_bytes_us\": %.2f, \"g1_in_subgroup_us\": %.2f, "
+                 "\"hash_to_g1_us\": %.2f, \"g1_mul_us\": %.2f, "
+                 "\"g1_mul_secret_us\": %.2f},\n",
+                 g1a.sqrt_us, g1a.from_bytes_us, g1a.in_subgroup_us,
+                 g1a.hash_to_g1_us, g1a.mul_us, g1a.mul_secret_us);
     std::fprintf(f, "%s\n}\n", bench::metrics_json_field(2).c_str());
     std::fclose(f);
     std::printf("wrote %s\n", json_path);

@@ -1,6 +1,8 @@
 #include "bls12/bls12.h"
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <mutex>
 #include <string>
 
@@ -68,7 +70,8 @@ JacT<T> jac_dbl(const JacT<T>& p) {
   c8 = c8 + c8;
   c8 = c8 + c8;
   T y3 = e * (d - x3) - c8;
-  T z3 = (p.y * p.z) + (p.y * p.z);
+  T yz = p.y * p.z;
+  T z3 = yz + yz;
   return JacT<T>{x3, y3, z3};
 }
 
@@ -189,6 +192,109 @@ JacT<T> jac_mul_secret(const JacT<T>& base, const bigint::BigInt<L>& k) {
   return acc;
 }
 
+// [k]P for a sparse 64-bit k (|z|, |z|+1): MSB-first double-and-add, so
+// the cost is one doubling per bit plus one addition per further set bit.
+template <class T>
+JacT<T> jac_mul_u64(const JacT<T>& base, std::uint64_t k) {
+  if (k == 0 || base.inf()) return JacT<T>{base.x, base.y, base.z - base.z};
+  JacT<T> acc = base;
+  for (int i = std::bit_width(k) - 1; i-- > 0;) {
+    acc = jac_dbl(acc);
+    if ((k >> i) & 1) acc = jac_add(acc, base);
+  }
+  return acc;
+}
+
+// --- GLV on G1 ----------------------------------------------------------------
+//
+// φ(x, y) = (βx, y) acts on G1 as [−z²]. A scalar k mod r splits as
+// k = k2·z² + k1 with 0 ≤ k1, k2 < z² < 2^128, so
+//   k·P = k1·P + k2·(z²·P) = k1·P + k2·φ(−P),
+// and both halves share one 128-step doubling chain instead of a 255-step
+// one. The identity holds on G1 only.
+
+using GlvHalf = bigint::BigInt<2>;
+using GlvWide = bigint::BigInt<4>;  // holds k mod r (< 2^255) and z²
+
+struct GlvHalves {
+  GlvHalf k1, k2;
+};
+
+// A plain divmod of k mod r by z². The context validates z² and
+// (r − 1)/z² below 2^128, so both halves fit.
+GlvHalves glv_split(const FpInt& k, const FpInt& r, const GlvWide& z2) {
+  FpInt kr = k < r ? k : bigint::mod(k, r);
+  GlvWide q, rem;
+  bigint::divmod(kr.resized<GlvWide::kLimbs>(), z2, q, rem);
+  return GlvHalves{rem.resized<GlvHalf::kLimbs>(), q.resized<GlvHalf::kLimbs>()};
+}
+
+// φ(−P) in Jacobian coordinates (x = X/Z²): scale X by β, negate Y.
+JacT<Fp> jac_endo_neg(const JacT<Fp>& p, const Fp& beta) {
+  return JacT<Fp>{p.x * beta, -p.y, p.z};
+}
+
+// k1·P + k2·φ(−P) by interleaved width-4 wNAF (Shamir's trick). The
+// φ(−P) table is the P table with X scaled by β and Y negated.
+JacT<Fp> jac_mul_glv(const JacT<Fp>& base, const Fp& beta, const GlvHalves& k) {
+  std::array<JacT<Fp>, 4> tab, tab_phi;  // odd multiples 1, 3, 5, 7
+  tab[0] = base;
+  JacT<Fp> twice = jac_dbl(base);
+  for (size_t i = 1; i < 4; ++i) tab[i] = jac_add(tab[i - 1], twice);
+  for (size_t i = 0; i < 4; ++i) tab_phi[i] = jac_endo_neg(tab[i], beta);
+  std::int8_t d1[bigint::kWnafMaxDigits<GlvHalf::kLimbs>] = {};
+  std::int8_t d2[bigint::kWnafMaxDigits<GlvHalf::kLimbs>] = {};
+  size_t n = std::max(bigint::wnaf_into(k.k1, 4, d1), bigint::wnaf_into(k.k2, 4, d2));
+  auto add_digit = [](JacT<Fp>& acc, const std::array<JacT<Fp>, 4>& t, int d) {
+    if (d > 0) {
+      acc = jac_add(acc, t[(d - 1) / 2]);
+    } else if (d < 0) {
+      acc = jac_add(acc, jac_neg(t[(-d - 1) / 2]));
+    }
+  };
+  JacT<Fp> acc{base.x, base.y, base.z - base.z};
+  for (size_t i = n; i-- > 0;) {
+    acc = jac_dbl(acc);
+    add_digit(acc, tab, d1[i]);
+    add_digit(acc, tab_phi, d2[i]);
+  }
+  return acc;
+}
+
+// The secret-scalar form: 32 windows of 4 bits over both halves, at the
+// fixed 128-bit length whatever the scalar. Every window performs four
+// doublings and exactly two additions (a dummy accumulator absorbs zero
+// digits) — constant-pattern, not constant-time, like jac_mul_secret.
+JacT<Fp> jac_mul_glv_secret(const JacT<Fp>& base, const Fp& beta, const GlvHalves& k) {
+  JacT<Fp> zero{base.x, base.y, base.z - base.z};
+  std::array<JacT<Fp>, 16> tab, tab_phi;  // j·P and j·φ(−P), j < 16
+  tab[0] = zero;
+  tab[1] = base;
+  for (size_t i = 2; i < 16; ++i) tab[i] = jac_add(tab[i - 1], base);
+  for (size_t i = 0; i < 16; ++i) tab_phi[i] = jac_endo_neg(tab[i], beta);
+  auto nibble = [](const GlvHalf& h, size_t w) {
+    return static_cast<unsigned>((h.w[w / 16] >> (4 * (w % 16))) & 0xf);
+  };
+  JacT<Fp> acc = zero;
+  JacT<Fp> dummy = base;
+  for (size_t w = 32; w-- > 0;) {
+    for (int s = 0; s < 4; ++s) acc = jac_dbl(acc);
+    unsigned d1 = nibble(k.k1, w);
+    unsigned d2 = nibble(k.k2, w);
+    if (d1 != 0) {
+      acc = jac_add(acc, tab[d1]);
+    } else {
+      dummy = jac_add(dummy, tab[1]);
+    }
+    if (d2 != 0) {
+      acc = jac_add(acc, tab_phi[d2]);
+    } else {
+      dummy = jac_add(dummy, tab_phi[1]);
+    }
+  }
+  return acc;
+}
+
 G1Point381 jac_to_g1(const JacT<Fp>& j, const FpCtx* fp) {
   if (j.inf()) return G1Point381{Fp::zero(fp), Fp::zero(fp), true};
   Fp zi = j.z.inverse();
@@ -253,6 +359,21 @@ Bls12Ctx::Bls12Ctx() : abs_z_(kAbsZ) {
   FpInt n1 = bigint::add(p, z);  // p + 1 - t, t = z + 1
   require(bigint::mul_wide(h1, r).resized<field::kMaxFieldLimbs>() == n1,
           "Bls12Ctx: G1 order identity failed");
+  // Cofactor clearing runs as h1 = ((|z|+1)/3)·(|z|+1): |z|+1 is sparse.
+  require((abs_z_ + 1) % 3 == 0, "Bls12Ctx: |z|+1 not divisible by 3");
+  g1_clear_third_ = (abs_z_ + 1) / 3;
+  require(bigint::mul_wide(FpInt::from_u64(abs_z_ + 1), FpInt::from_u64(g1_clear_third_))
+                  .resized<field::kMaxFieldLimbs>() == h1,
+          "Bls12Ctx: cofactor split failed");
+
+  // GLV split modulus z²: both halves of k mod r must fit 128 bits.
+  {
+    FpInt q, rem;
+    bigint::divmod(bigint::sub(r, FpInt::from_u64(1)), z2, q, rem);
+    require(z2.bit_length() <= 128 && q.bit_length() <= 128,
+            "Bls12Ctx: GLV halves exceed 128 bits");
+    glv_z2_ = z2.resized<4>();
+  }
 
   // Twist constant b' = 4(1+u), and the doubling-step constants.
   twist_b_ = tower_->xi.scale(Fp::from_u64(fp_.get(), 4));
@@ -353,6 +474,30 @@ Bls12Ctx::Bls12Ctx() : abs_z_(kAbsZ) {
   // Generators.
   g1_gen_ = hash_to_g1(to_bytes("BLS12-381 G1 generator / TRE-v1"));
   {
+    JacT<Fp> gj{g1_gen_.x, g1_gen_.y, Fp::one(fp_.get())};
+    require(jac_mul(gj, r).inf(), "Bls12Ctx: G1 generator escaped the subgroup");
+
+    // The G1 endomorphism φ(x, y) = (βx, y), β a primitive cube root of
+    // unity. Of the two roots, keep the one for which φ acts as [−z²] on
+    // G1 (cyclic of prime order, so checking the generator suffices) —
+    // checked with the generic ladder, which does not use φ.
+    FpInt third, rem;
+    bigint::divmod(bigint::sub(p, FpInt::from_u64(1)), FpInt::from_u64(3), third, rem);
+    require(rem.is_zero(), "Bls12Ctx: p != 1 (mod 3)");
+    const Fp one = Fp::one(fp_.get());
+    Fp beta = one;
+    for (std::uint64_t g = 2; beta == one; ++g) beta = Fp::from_u64(fp_.get(), g).pow(third);
+    require((beta * beta + beta + one).is_zero(), "Bls12Ctx: β not a cube root of unity");
+    G1Point381 minus_z2_g = g1_neg(jac_to_g1(jac_mul(gj, z2), fp_.get()));
+    if (!g1_eq(G1Point381{beta * g1_gen_.x, g1_gen_.y, false}, minus_z2_g)) {
+      beta = beta.squared();
+    }
+    require(g1_eq(G1Point381{beta * g1_gen_.x, g1_gen_.y, false}, minus_z2_g),
+            "Bls12Ctx: no cube root of unity acts as [-z²] on G1");
+    beta_ = beta;
+    require(g1_in_subgroup(g1_gen_), "Bls12Ctx: endomorphism subgroup test rejects G1");
+  }
+  {
     for (std::uint32_t ctr = 0;; ++ctr) {
       Bytes h = hashing::oracle_bytes("BLS12-G2-gen", be32(ctr), 4 * fp_->byte_len);
       Fp2 x(Fp::from_bytes_wide(fp_.get(), ByteSpan(h.data(), 2 * fp_->byte_len)),
@@ -414,13 +559,13 @@ G1Point381 Bls12Ctx::g1_add(const G1Point381& a, const G1Point381& b) const {
 G1Point381 Bls12Ctx::g1_mul(const G1Point381& a, const Scalar& k) const {
   if (a.inf || k.is_zero()) return g1_infinity();
   JacT<Fp> ja{a.x, a.y, Fp::one(fp_.get())};
-  return jac_to_g1(jac_mul(ja, k), fp_.get());
+  return jac_to_g1(jac_mul_glv(ja, beta_, glv_split(k, r(), glv_z2_)), fp_.get());
 }
 
 G1Point381 Bls12Ctx::g1_mul_secret(const G1Point381& a, const Scalar& k) const {
   if (a.inf || k.is_zero()) return g1_infinity();
   JacT<Fp> ja{a.x, a.y, Fp::one(fp_.get())};
-  return jac_to_g1(jac_mul_secret(ja, k), fp_.get());
+  return jac_to_g1(jac_mul_glv_secret(ja, beta_, glv_split(k, r(), glv_z2_)), fp_.get());
 }
 
 namespace {
@@ -503,7 +648,14 @@ G2Point381 Bls12Ctx::g2_multiexp(std::span<const G2Point381> points,
 
 bool Bls12Ctx::g1_in_subgroup(const G1Point381& a) const {
   if (!g1_on_curve(a)) return false;
-  return g1_mul(a, r()).inf;
+  if (a.inf) return true;
+  // P ∈ G1 ⇔ φ(P) = [−z²]P (Bowe 2019; Scott 2021): two sparse |z|
+  // chains and one projective compare, with no inversion.
+  JacT<Fp> zzp = jac_mul_u64(jac_mul_u64(JacT<Fp>{a.x, a.y, Fp::one(fp_.get())}, abs_z_), abs_z_);
+  if (zzp.inf()) return false;
+  // φ(P) = (βx, y) against −[z²]P = (X/Z², −Y/Z³).
+  Fp zz2 = zzp.z.squared();
+  return beta_ * a.x * zz2 == zzp.x && a.y * zz2 * zzp.z == -zzp.y;
 }
 
 G1Point381 Bls12Ctx::hash_to_g1(ByteSpan msg) const {
@@ -514,8 +666,12 @@ G1Point381 Bls12Ctx::hash_to_g1(ByteSpan msg) const {
     Fp rhs = x.squared() * x + Fp::from_u64(fp_.get(), 4);
     auto y = rhs.sqrt();
     if (!y) continue;
-    G1Point381 cleared = g1_mul(G1Point381{x, *y, false}, g1_cofactor_);
-    if (!cleared.inf) return cleared;
+    // h1·P as ((|z|+1)/3)·((|z|+1)·P). P is not in G1 yet, so this must
+    // not go through the endomorphism ladders of g1_mul.
+    JacT<Fp> raw{x, *y, Fp::one(fp_.get())};
+    JacT<Fp> cleared = jac_mul(jac_mul_u64(raw, abs_z_ + 1),
+                               bigint::BigInt<1>::from_u64(g1_clear_third_));
+    if (!cleared.inf()) return jac_to_g1(cleared, fp_.get());
   }
 }
 

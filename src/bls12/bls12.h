@@ -27,10 +27,17 @@
 //   * Final exponentiation: Frobenius easy part, then the hard part
 //     (p⁴−p²+1)/r via the exact base-p decomposition in powers of z with
 //     cyclotomic squarings — value-identical to the generic power.
-//   * Scalar multiplication: width-4 wNAF for public scalars, a
-//     constant-pattern fixed-window ladder for secret ones, and a
-//     Lim–Lee comb (G2Comb) for fixed G_2 bases — the backend512
-//     parity set.
+//   * Scalar multiplication (docs/PERF.md "G1 on BLS12-381"): on G_1 the
+//     endomorphism φ(x, y) = (βx, y), β a cube root of unity, acts as
+//     [−z²]. A scalar k mod r splits by a plain divmod as k = k2·z² + k1
+//     with both halves below 2^128, so k·P = k1·P + k2·φ(−P) runs as one
+//     128-step joint ladder: interleaved width-4 wNAF for public scalars,
+//     a constant-pattern fixed-window ladder at a fixed 128-bit length
+//     for secret ones. G_2 keeps the full-length wNAF and ladder, plus a
+//     Lim–Lee comb (G2Comb) for fixed bases. φ = [−z²] holds on G_1
+//     only, so the G_1 ladders require P ∈ G_1.
+//   * Subgroup test: P ∈ G_1 ⇔ φ(P) = [−z²]P (Bowe 2019; Scott 2021),
+//     two sparse |z| chains instead of a 255-bit multiplication by r.
 //   * pair_reference()/pairings_equal_reference() keep the original
 //     affine-over-F_p12 loop (inversions batched across lockstep pairs
 //     by Montgomery's trick) as the cross-checked oracle; tests assert
@@ -125,9 +132,13 @@ class Bls12Ctx {
   G1Point381 g1_infinity() const;
   G1Point381 g1_add(const G1Point381& a, const G1Point381& b) const;
   G1Point381 g1_neg(const G1Point381& a) const;
+  /// k·a by the GLV split (interleaved wNAF, variable time — public
+  /// scalars). Requires a ∈ G_1: the split uses φ = [−z²], which holds
+  /// only there, so a point outside G_1 gives a wrong result, silently.
   G1Point381 g1_mul(const G1Point381& a, const Scalar& k) const;
-  /// Fixed-window ladder with a constant double/add pattern (dummy
-  /// additions on zero windows) — for long-lived secrets.
+  /// The GLV split with a constant double/add pattern at a fixed 128-bit
+  /// length (dummy additions on zero windows) — for long-lived secrets.
+  /// Requires a ∈ G_1, like g1_mul.
   G1Point381 g1_mul_secret(const G1Point381& a, const Scalar& k) const;
   /// Σᵢ scalars[i]·points[i] via bucketed Pippenger (src/ec/multiexp.h);
   /// windows fan out on the persistent work pool (`threads` as in
@@ -142,9 +153,11 @@ class Bls12Ctx {
                                   unsigned threads = 0) const;
   bool g1_eq(const G1Point381& a, const G1Point381& b) const;
   bool g1_on_curve(const G1Point381& a) const;
+  /// On the curve and φ(a) = [−z²]a: no inversion, no r-multiplication.
   bool g1_in_subgroup(const G1Point381& a) const;
   /// Full-domain hash onto the order-r subgroup (try-and-increment +
-  /// cofactor clearing) — H1 for the type-3 scheme.
+  /// cofactor clearing as ((|z|+1)/3)·((|z|+1)·P), which equals h1·P) —
+  /// H1 for the type-3 scheme.
   G1Point381 hash_to_g1(ByteSpan msg) const;
   Bytes g1_to_bytes(const G1Point381& a) const;  // compressed, 49 bytes
   G1Point381 g1_from_bytes(ByteSpan bytes) const;
@@ -235,7 +248,10 @@ class Bls12Ctx {
   std::shared_ptr<const FpCtx> fp_;
   std::shared_ptr<const FpCtx> fr_;
   std::unique_ptr<TowerCtx> tower_;
-  FpInt g1_cofactor_;                 // (z-1)²/3
+  FpInt g1_cofactor_;                 // h1 = (z-1)²/3 (final-exp chain)
+  std::uint64_t g1_clear_third_;      // (|z|+1)/3, so h1 = this·(|z|+1)
+  bigint::BigInt<4> glv_z2_;          // z², the GLV split modulus
+  Fp beta_;                           // φ(x, y) = (βx, y) acts as [−z²] on G1
   FpInt g2_cofactor_;                 // #E'(F_p2)/r — derived + validated
   bigint::BigInt<24> hard_exponent_;  // (p⁴ - p² + 1)/r
   Fp2 twist_b_;                       // 4(1+u)

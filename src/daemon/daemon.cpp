@@ -201,11 +201,13 @@ void Daemon::accept_ready(std::int64_t now_ms) {
           FrameType::kError, encode_error(Errc::kOverloaded, "connection cap"));
       [[maybe_unused]] ssize_t n = ::send(fd, frame.data(), frame.size(),
                                           MSG_NOSIGNAL | MSG_DONTWAIT);
-      ::close(fd);
+      // Count before the close: a peer that has seen EOF must also see
+      // the shed in stats().
       shed_.add();
       error_replies_.add();
       probes().shed.add();
       probes().error_replies.add();
+      ::close(fd);
       continue;
     }
 

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "bigint/montgomery.h"
 #include "bigint/prime.h"
 #include "hashing/drbg.h"
@@ -217,6 +220,33 @@ TEST(Montgomery, PowEdgeCases) {
   EXPECT_EQ(mont.pow_plain(a, B8{}), B8::from_u64(1));        // x^0 = 1
   EXPECT_EQ(mont.pow_plain(a, B8::from_u64(1)), a);           // x^1 = x
   EXPECT_EQ(mont.pow_plain(a, B8::from_u64(2)), mulmod(a, a, m));
+}
+
+TEST(Montgomery, SlidingWindowPowMatchesSquareAndMultiply) {
+  // Exponent lengths straddle every window-width threshold, and include
+  // runs of zeros and ones at both ends of a window.
+  B8 p = B8::from_hex("6429155995d43598752910865601b03f1b243370b1e40cf2fc4a74c1"
+                      "c3b9e526b9a0f85e456a17cfd0f200007517f2698a6f73c9c4b29db5"
+                      "650707683d48de73");
+  MontCtx<8> mont(p);
+  auto rng = test_rng("sliding-window-pow");
+  auto reference = [&](const B8& a_mont, const B8& e) {
+    B8 acc = mont.one();
+    for (size_t i = e.bit_length(); i-- > 0;) {
+      acc = mont.sqr(acc);
+      if (e.bit(i)) acc = mont.mul(acc, a_mont);
+    }
+    return acc;
+  };
+  B8 a = mont.to_mont(random_nonzero_below(rng, p));
+  std::vector<B8> exps;
+  const size_t kBits[] = {1, 2, 5, 16, 17, 63, 64, 65, 191, 192, 193, 380, 511};
+  for (size_t bits : kBits) {
+    exps.push_back(random_bits<8>(rng, std::max<size_t>(bits, 2)));
+    exps.push_back(sub(shl(B8::from_u64(1), bits), B8::from_u64(1)));  // all ones
+    exps.push_back(add(shl(B8::from_u64(1), bits), B8::from_u64(1)));  // 10…01
+  }
+  for (const B8& e : exps) EXPECT_EQ(mont.pow(a, e), reference(a, e)) << e.to_hex();
 }
 
 TEST(Montgomery, RejectsEvenModulus) {

@@ -47,6 +47,20 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   }
 }
 
+TEST(Sha256, EmptyUpdateAfterPartialBlock) {
+  // An empty span may carry a null data pointer; update() must not pass
+  // it to memcpy (undefined even for zero bytes) and must leave the
+  // digest unchanged.
+  Bytes msg = to_bytes("abc");
+  Sha256 h;
+  h.update(ByteSpan(msg.data(), 2));
+  h.update(ByteSpan());
+  h.update(ByteSpan(msg.data() + 2, 1));
+  h.update(ByteSpan());
+  auto d = h.finalize();
+  EXPECT_EQ(Bytes(d.begin(), d.end()), sha256(msg));
+}
+
 TEST(Sha256, ResetReusesObject) {
   Sha256 h;
   h.update(to_bytes("garbage"));
