@@ -3,11 +3,11 @@
 //
 // This is the SAME generic core as core::TreScheme (core/tre_core.h):
 // seal/open for all three modes, the §5.1 step-1 key check, the five
-// Tuning memo caches, the batch APIs and the obs probes (under
-// "core.bls381.*") are one template, bound here to the Bls381Backend
-// policy. See bls12/backend381.h for the type-3 artifact-placement notes
-// (updates and the user anchor in G_1, keys and ciphertext headers in
-// G_2, the degenerate §5.3.4 same-secret check).
+// memo caches, the batch APIs and the obs probes (under "core.bls381.*")
+// are one template, bound here to the Bls381Backend policy. See
+// bls12/backend381.h for the type-3 artifact-placement notes (updates
+// and the user anchor in G_1, keys and ciphertext headers in G_2, the
+// degenerate §5.3.4 same-secret check).
 //
 //   server : s, public (G = h·G_2gen, S = s·G) — like the type-1 scheme
 //            the server chooses its own G_2 generator; the fixed-generator
@@ -44,10 +44,8 @@ using SealedCiphertext381 = core::BasicSealedCiphertext<Bls381Backend>;
 using EpochKey381 = core::BasicEpochKey<Bls381Backend>;
 
 /// Convenience constructor: the 381 scheme over the cached validated
-/// context. Pairings here are reference-speed (~tens of ms), so prefer
-/// Tuning::fast() (the default), whose memo caches amortize them.
-inline Tre381Scheme make_tre381(core::Tuning tuning = core::Tuning::fast()) {
-  return Tre381Scheme(Bls12Ctx::get(), tuning);
-}
+/// context. Share one scheme across calls: its memo caches amortize the
+/// pairings and comb tables.
+inline Tre381Scheme make_tre381() { return Tre381Scheme(Bls12Ctx::get()); }
 
 }  // namespace tre::bls12

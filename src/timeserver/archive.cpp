@@ -1,23 +1,7 @@
 #include "timeserver/archive.h"
 
-#include "bls/bls.h"
-
 namespace tre::server {
 
 template class BasicUpdateArchive<core::Tre512Backend>;
-
-bool verify_update_batch(std::shared_ptr<const params::GdhParams> params,
-                         const core::ServerPublicKey& server,
-                         std::span<const core::KeyUpdate> updates,
-                         tre::hashing::RandomSource& rng) {
-  // Updates are BLS signatures on their tags; reuse the batch verifier.
-  bls::BlsScheme bls(std::move(params));
-  std::vector<bls::SignedMessage> batch;
-  batch.reserve(updates.size());
-  for (const auto& upd : updates) {
-    batch.push_back(bls::SignedMessage{upd.tag, bls::Signature{upd.sig}});
-  }
-  return bls.verify_batch(server.g, server.sg, batch, rng);
-}
 
 }  // namespace tre::server

@@ -73,14 +73,4 @@ using UpdateArchive = BasicUpdateArchive<core::Tre512Backend>;
 
 extern template class BasicUpdateArchive<core::Tre512Backend>;
 
-/// Validates a whole catch-up batch of updates against the server key
-/// with TWO pairings total (randomized BLS batch verification) instead
-/// of two per update. A single bad update makes the whole batch fail;
-/// fall back to per-update verify_update() to locate it. (Type-1 only:
-/// it reuses the symmetric-curve BLS batch verifier.)
-bool verify_update_batch(std::shared_ptr<const params::GdhParams> params,
-                         const core::ServerPublicKey& server,
-                         std::span<const core::KeyUpdate> updates,
-                         tre::hashing::RandomSource& rng);
-
 }  // namespace tre::server

@@ -21,9 +21,10 @@
 namespace tre {
 namespace {
 
-// Per-backend glue the generic tests need: how to build a (fast) scheme
-// and how to add two Gu points (the policy has no gu_add — the scheme
-// never needed one until the naive reference sum here).
+// Per-backend glue the generic tests need: how to build a scheme, and
+// the naive Gu add / public-scalar multiply behind the reference sums
+// (the policy has neither — the scheme only multiplies through the
+// secret-scalar ladders and the multi-exp engine under test).
 template <class B>
 struct Glue;
 
@@ -36,6 +37,10 @@ struct Glue<core::Tre512Backend> {
                          const ec::G1Point& b) {
     return a + b;
   }
+  static ec::G1Point mul(const params::GdhParams&, const ec::G1Point& q,
+                         const core::Scalar& k) {
+    return q.mul(k);
+  }
 };
 
 template <>
@@ -45,6 +50,10 @@ struct Glue<bls12::Bls381Backend> {
                                const bls12::G1Point381& a,
                                const bls12::G1Point381& b) {
     return p.g1_add(a, b);
+  }
+  static bls12::G1Point381 mul(const bls12::Bls12Ctx& p, const bls12::G1Point381& q,
+                               const core::Scalar& k) {
+    return p.g1_mul(q, k);
   }
 };
 
@@ -84,9 +93,9 @@ TYPED_TEST(BatchVerifyTest, MultiexpMatchesNaiveSum) {
       pts.push_back(this->scheme_.hash_tag("P" + std::to_string(i)));
       ks.push_back(B::random_scalar(p, this->rng_));
     }
-    typename B::Gu want = B::gu_mul(p, pts[0], ks[0]);
+    typename B::Gu want = Glue<B>::mul(p, pts[0], ks[0]);
     for (size_t i = 1; i < n; ++i) {
-      want = Glue<B>::add(p, want, B::gu_mul(p, pts[i], ks[i]));
+      want = Glue<B>::add(p, want, Glue<B>::mul(p, pts[i], ks[i]));
     }
     typename B::Gu got = B::gu_multiexp(
         p, std::span<const typename B::Gu>(pts),
@@ -105,7 +114,7 @@ TYPED_TEST(BatchVerifyTest, MultiexpHandlesEdgeCases) {
                      std::span<const core::Scalar>(), 0)));
 
   typename B::Gu g = this->scheme_.hash_tag("edge");
-  typename B::Gu inf = B::gu_mul(p, g, B::group_order(p));  // q·G = O
+  typename B::Gu inf = Glue<B>::mul(p, g, B::group_order(p));  // q·G = O
   ASSERT_TRUE(B::gu_is_infinity(inf));
 
   // Zero scalars and infinity points drop out; repeated points combine.
@@ -115,7 +124,7 @@ TYPED_TEST(BatchVerifyTest, MultiexpHandlesEdgeCases) {
       core::Scalar::from_u64(0), core::Scalar::from_u64(9)};
   typename B::Gu got = B::gu_multiexp(p, std::span<const typename B::Gu>(pts),
                                       std::span<const core::Scalar>(ks), 0);
-  typename B::Gu want = B::gu_mul(p, g, core::Scalar::from_u64(14));
+  typename B::Gu want = Glue<B>::mul(p, g, core::Scalar::from_u64(14));
   EXPECT_TRUE(B::gu_eq(want, got));
 
   // All-zero scalars: identity.
@@ -161,7 +170,7 @@ TYPED_TEST(BatchVerifyTest, BisectsToExactlyTheGuiltySet) {
       switch (k % 3) {
         case 0:  // wrong point: sig doubled, still in the subgroup
           updates[idx].sig =
-              B::gu_mul(p, updates[idx].sig, core::Scalar::from_u64(2));
+              Glue<B>::mul(p, updates[idx].sig, core::Scalar::from_u64(2));
           break;
         case 1:  // relabel: honest sig presented under a foreign tag
           updates[idx].tag = "relabeled-" + std::to_string(k);
@@ -190,7 +199,7 @@ TYPED_TEST(BatchVerifyTest, FlagsInfinitySignatures) {
   using B = TypeParam;
   const auto& p = this->scheme_.params();
   std::vector<core::BasicKeyUpdate<B>> updates = this->honest(6);
-  updates[4].sig = B::gu_mul(p, updates[4].sig, B::group_order(p));
+  updates[4].sig = Glue<B>::mul(p, updates[4].sig, B::group_order(p));
   ASSERT_TRUE(B::gu_is_infinity(updates[4].sig));
   std::vector<size_t> bad = this->scheme_.verify_updates_batch(
       this->server_.pub, updates, this->rng_);

@@ -6,7 +6,6 @@
 
 #include "core/tre.h"
 #include "hashing/drbg.h"
-#include "timeserver/archive.h"
 
 namespace tre::bls {
 namespace {
@@ -117,10 +116,12 @@ TEST_F(BlsTest, ArchiveCatchUpBatchVerification) {
   for (int i = 0; i < 30; ++i) {
     updates.push_back(scheme.issue_update(server, "t" + std::to_string(i)));
   }
-  EXPECT_TRUE(server::verify_update_batch(params_, server.pub, updates, rng_));
-  // One forged update poisons the batch.
+  EXPECT_EQ(scheme.verify_updates_batch(server.pub, updates, rng_),
+            std::vector<size_t>{});
+  // One forged update fails the batch, and the bisection names it.
   updates[11].sig = updates[11].sig.doubled();
-  EXPECT_FALSE(server::verify_update_batch(params_, server.pub, updates, rng_));
+  EXPECT_EQ(scheme.verify_updates_batch(server.pub, updates, rng_),
+            std::vector<size_t>{11});
 }
 
 }  // namespace

@@ -251,10 +251,9 @@ TEST_F(Bls381VectorsTest, SecretLaddersAndCombMatchPublicLadder) {
 
 // Replays exactly the capture program's operation sequence (keygen,
 // keygen, password keygen, issue, encrypt, encrypt_fo, encrypt_react,
-// seal) so the DRBG stream lines up draw for draw. Tuning must not
-// change any byte — the engines are value-identical by construction.
-void check_golden_381(core::Tuning tuning) {
-  Tre381Scheme scheme = make_tre381(tuning);
+// seal) so the DRBG stream lines up draw for draw.
+void check_golden_381() {
+  Tre381Scheme scheme = make_tre381();
   hashing::HmacDrbg rng(to_bytes(std::string("golden-tre-bls12-381")));
   auto server = scheme.server_keygen(rng);
   auto user = scheme.user_keygen(server.pub, rng);
@@ -286,17 +285,7 @@ void check_golden_381(core::Tuning tuning) {
   EXPECT_EQ(*open_out, msg);
 }
 
-TEST(Bls381GoldenTest, MatchesPreRewriteBytes) {
-  check_golden_381(core::Tuning::fast());
-}
-
-TEST(Bls381GoldenTest, MatchesUnderLegacyTuning) {
-  check_golden_381(core::Tuning::legacy());
-}
-
-TEST(Bls381GoldenTest, MatchesUnderLockedCaches) {
-  check_golden_381(core::Tuning::fast_locked());
-}
+TEST(Bls381GoldenTest, MatchesPreRewriteBytes) { check_golden_381(); }
 
 }  // namespace
 }  // namespace tre::bls12

@@ -1,8 +1,8 @@
-// SnapshotCache: the RCU-style read-mostly map behind the core::Tuning
-// memo caches. Covers both substrates (snapshot and legacy locked mode),
-// the flood-guard bound, first-write-wins inserts, the contended-lock
-// hook, and multi-threaded read/write storms (the data-race proof is
-// TSan's, via the sanitizer tree; the assertions here are functional).
+// SnapshotCache: the RCU-style read-mostly map behind the TreScheme memo
+// caches. Covers the flood-guard bound, first-write-wins inserts, the
+// contended-lock hook, and multi-threaded read/write storms (the
+// data-race proof is TSan's, via the sanitizer tree; the assertions here
+// are functional).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,17 +16,8 @@
 namespace tre {
 namespace {
 
-SnapshotCacheOptions with_mode(bool snapshots, size_t max_entries = 1024) {
-  SnapshotCacheOptions opt;
-  opt.max_entries = max_entries;
-  opt.snapshots = snapshots;
-  return opt;
-}
-
-class SnapshotCacheModes : public ::testing::TestWithParam<bool> {};
-
-TEST_P(SnapshotCacheModes, InsertFindRoundtrip) {
-  SnapshotCache<int> cache(with_mode(GetParam()));
+TEST(SnapshotCacheTest, InsertFindRoundtrip) {
+  SnapshotCache<int> cache;
   EXPECT_FALSE(cache.find("missing").has_value());
   EXPECT_FALSE(cache.contains("missing"));
 
@@ -41,19 +32,21 @@ TEST_P(SnapshotCacheModes, InsertFindRoundtrip) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(*cache.find("alpha"), 1);
 }
 
-TEST_P(SnapshotCacheModes, FirstWriteWins) {
+TEST(SnapshotCacheTest, FirstWriteWins) {
   // Values are deterministic per key in every cache this backs, so a
   // duplicate insert (two threads racing the same miss) must be a no-op.
-  SnapshotCache<int> cache(with_mode(GetParam()));
+  SnapshotCache<int> cache;
   cache.insert("k", 7);
   cache.insert("k", 99);
   EXPECT_EQ(*cache.find("k"), 7);
   EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST_P(SnapshotCacheModes, FloodGuardBoundsEachShard) {
+TEST(SnapshotCacheTest, FloodGuardBoundsEachShard) {
   constexpr size_t kMax = 64;  // 16 per shard
-  SnapshotCache<int> cache(with_mode(GetParam(), kMax));
+  SnapshotCacheOptions opt;
+  opt.max_entries = kMax;
+  SnapshotCache<int> cache(opt);
   for (int i = 0; i < 10 * static_cast<int>(kMax); ++i) {
     cache.insert("flood-" + std::to_string(i), i);
   }
@@ -62,8 +55,8 @@ TEST_P(SnapshotCacheModes, FloodGuardBoundsEachShard) {
   EXPECT_GT(cache.size(), 0u);
 }
 
-TEST_P(SnapshotCacheModes, ReadersSeeWritesAcrossThreads) {
-  SnapshotCache<std::uint64_t> cache(with_mode(GetParam()));
+TEST(SnapshotCacheTest, ReadersSeeWritesAcrossThreads) {
+  SnapshotCache<std::uint64_t> cache;
   constexpr int kThreads = 8;
   constexpr int kKeys = 32;
   std::atomic<int> mismatches{0};
@@ -92,28 +85,6 @@ TEST_P(SnapshotCacheModes, ReadersSeeWritesAcrossThreads) {
     ASSERT_TRUE(hit.has_value()) << "key " << k;
     EXPECT_EQ(*hit, static_cast<std::uint64_t>(k) * 1000003u);
   }
-}
-
-INSTANTIATE_TEST_SUITE_P(BothSubstrates, SnapshotCacheModes, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? std::string("snapshot")
-                                             : std::string("locked");
-                         });
-
-TEST(SnapshotCacheEquivalence, ModesAgreeOnEveryLookup) {
-  SnapshotCache<int> fast(with_mode(true));
-  SnapshotCache<int> locked(with_mode(false));
-  for (int i = 0; i < 200; ++i) {
-    const std::string key = "k" + std::to_string(i % 50);
-    fast.insert(key, i % 50);
-    locked.insert(key, i % 50);
-  }
-  for (int i = 0; i < 50; ++i) {
-    const std::string key = "k" + std::to_string(i);
-    EXPECT_EQ(fast.find(key), locked.find(key));
-  }
-  EXPECT_EQ(fast.size(), locked.size());
-  EXPECT_EQ(fast.find("absent"), locked.find("absent"));
 }
 
 std::atomic<std::uint64_t> g_waits{0};
@@ -149,7 +120,7 @@ TEST(SnapshotCacheLifetime, NewCacheDoesNotInheritStaleSlots) {
   // Shard ids are process-unique: a fresh cache must miss where a
   // destroyed cache (whose slots may linger in this thread's TLS) hit.
   for (int round = 0; round < 3; ++round) {
-    SnapshotCache<int> cache(with_mode(true));
+    SnapshotCache<int> cache;
     EXPECT_FALSE(cache.find("x").has_value());
     cache.insert("x", round);
     EXPECT_EQ(*cache.find("x"), round);

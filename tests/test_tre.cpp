@@ -350,33 +350,7 @@ TEST_F(TreTest, UpdateWireSizeIsOneCompressedPoint) {
             2 + std::string(kTag).size() + scheme_.params().g1_compressed_bytes());
 }
 
-// --- Scalar-engine tuning and batch APIs --------------------------------------
-
-TEST_F(TreTest, LegacyTuningInteroperatesWithFast) {
-  // Ciphertexts are bit-identical across tunings given the same
-  // randomness, and either scheme decrypts the other's output.
-  TreScheme legacy(params::load("tre-toy-96"), Tuning::legacy());
-  ServerKeyPair server = legacy.server_keygen(rng_);
-  UserKeyPair user = legacy.user_keygen(server.pub, rng_);
-  KeyUpdate upd = scheme_.issue_update(server, kTag);
-  EXPECT_EQ(upd, legacy.issue_update(server, kTag));
-
-  hashing::HmacDrbg rng_fast(to_bytes("tuning-interop"));
-  hashing::HmacDrbg rng_legacy(to_bytes("tuning-interop"));
-  Ciphertext fast_ct = scheme_.encrypt(msg(), user.pub, server.pub, kTag, rng_fast);
-  Ciphertext legacy_ct = legacy.encrypt(msg(), user.pub, server.pub, kTag, rng_legacy);
-  EXPECT_EQ(fast_ct.to_bytes(), legacy_ct.to_bytes());
-  EXPECT_EQ(legacy.decrypt(fast_ct, user.a, upd), msg());
-  EXPECT_EQ(scheme_.decrypt(legacy_ct, user.a, upd), msg());
-
-  // Same interop for the CCA variants.
-  hashing::HmacDrbg rf2(to_bytes("tuning-fo")), rl2(to_bytes("tuning-fo"));
-  FoCiphertext fo_fast = scheme_.encrypt_fo(msg(), user.pub, server.pub, kTag, rf2);
-  FoCiphertext fo_legacy = legacy.encrypt_fo(msg(), user.pub, server.pub, kTag, rl2);
-  EXPECT_EQ(fo_fast.to_bytes(), fo_legacy.to_bytes());
-  EXPECT_EQ(legacy.decrypt_fo(fo_fast, user.a, upd, server.pub), msg());
-  EXPECT_EQ(scheme_.decrypt_fo(fo_legacy, user.a, upd, server.pub), msg());
-}
+// --- Batch APIs ------------------------------------------------------------------
 
 TEST_F(TreTest, EncryptBatchMatchesSequentialEncrypt) {
   std::vector<Bytes> msgs;
@@ -401,20 +375,6 @@ TEST_F(TreTest, EncryptBatchMatchesSequentialEncrypt) {
   KeyUpdate upd = scheme_.issue_update(server_, kTag);
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(scheme_.decrypt(got[i], user_.a, upd), msgs[i]);
-  }
-}
-
-TEST_F(TreTest, EncryptBatchLegacyTuningAgrees) {
-  TreScheme legacy(params::load("tre-toy-96"), Tuning::legacy());
-  std::vector<Bytes> msgs = {msg("one"), msg("two"), msg("three")};
-  hashing::HmacDrbg ra(to_bytes("batch-legacy")), rb(to_bytes("batch-legacy"));
-  std::vector<Ciphertext> fast =
-      scheme_.encrypt_batch(msgs, user_.pub, server_.pub, kTag, ra);
-  std::vector<Ciphertext> slow =
-      legacy.encrypt_batch(msgs, user_.pub, server_.pub, kTag, rb);
-  ASSERT_EQ(fast.size(), slow.size());
-  for (size_t i = 0; i < fast.size(); ++i) {
-    EXPECT_EQ(fast[i].to_bytes(), slow[i].to_bytes());
   }
 }
 

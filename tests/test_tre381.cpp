@@ -7,6 +7,10 @@
 // built once per suite and every test is pairing-frugal.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <variant>
+#include <vector>
+
 #include "bls12/tre381.h"
 #include "core/tre.h"
 #include "hashing/drbg.h"
@@ -214,6 +218,52 @@ TEST_F(Tre381ParityTest, EpochKeyDecryptsWithoutLongTermSecret) {
   bls12::EpochKey381 ek = scheme_->derive_epoch_key(user_->a, *update_);
   EXPECT_EQ(ek.tag, kTag);
   EXPECT_EQ(scheme_->decrypt_with_epoch_key(ct, ek), msg);
+}
+
+TEST_F(Tre381ParityTest, EncryptBatchMatchesSequentialEncrypt) {
+  // Twin DRBG streams: the batch must reproduce sequential encrypt()
+  // byte for byte. Both sides share the memoized base pairing, so the
+  // whole test pays per-message G_T powers plus one decrypt pairing.
+  std::vector<Bytes> msgs = {to_bytes("batch-0"), to_bytes("batch-1"), to_bytes(kMsg)};
+  hashing::HmacDrbg rng_seq(to_bytes("tre381-batch"));
+  hashing::HmacDrbg rng_batch(to_bytes("tre381-batch"));
+  std::vector<bls12::Ciphertext381> want;
+  for (const Bytes& m : msgs) {
+    want.push_back(scheme_->encrypt(m, user_->pub, server_->pub, kTag, rng_seq,
+                                    KeyCheck::kSkip));
+  }
+  std::vector<bls12::Ciphertext381> got = scheme_->encrypt_batch(
+      msgs, user_->pub, server_->pub, kTag, rng_batch, KeyCheck::kSkip);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].to_bytes(), want[i].to_bytes()) << "message #" << i;
+  }
+  EXPECT_EQ(scheme_->decrypt(got[2], user_->a, *update_), msgs[2]);
+}
+
+TEST_F(Tre381ParityTest, OpenBatchMatchesPerItemOpen) {
+  // One item per mode plus a second FO item whose body is tampered: its
+  // re-derived r no longer reproduces U, so the folded FO check fails,
+  // bisection convicts exactly that item, and its siblings still open.
+  Bytes msg = to_bytes(kMsg);
+  std::vector<bls12::SealedCiphertext381> cts;
+  for (Mode mode : {Mode::kBasic, Mode::kFo, Mode::kReact, Mode::kFo}) {
+    cts.push_back(scheme_->seal(mode, msg, user_->pub, server_->pub, kTag, rng_,
+                                KeyCheck::kSkip));
+  }
+  std::get<bls12::FoCiphertext381>(cts[3].body).c_msg[0] ^= 0x01;
+
+  hashing::HmacDrbg rlc_rng(to_bytes("tre381-open-batch"));
+  std::vector<std::optional<Bytes>> got =
+      scheme_->open_batch(cts, user_->a, *update_, server_->pub, rlc_rng);
+  ASSERT_EQ(got.size(), cts.size());
+  for (size_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(got[i].has_value()) << core::mode_name(cts[i].mode());
+    EXPECT_EQ(*got[i], msg) << core::mode_name(cts[i].mode());
+    EXPECT_EQ(got[i], scheme_->open(cts[i], user_->a, *update_, server_->pub));
+  }
+  EXPECT_FALSE(got[3].has_value());
+  EXPECT_FALSE(scheme_->open(cts[3], user_->a, *update_, server_->pub).has_value());
 }
 
 }  // namespace
