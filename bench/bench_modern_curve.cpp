@@ -15,10 +15,13 @@
 // timings, pinned from the seed run so the speedup is auditable without
 // digging through git), pairing-engine sub-timings (Miller loop vs
 // final exponentiation, cold vs cached lines), the per-update G1 unit
-// costs (square root, decode, subgroup test, H1, both ladders), and the
+// costs (square root, decode, subgroup test, H1 alone and per item of a
+// 512-tag batch, both ladders, the wide reduction and one F_p
+// inversion), and the
 // global metrics registry snapshot, so the per-backend probe prefixes
 // (core.* vs core.bls381.*) are visible in one artifact.
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.h"
 #include "bls12/tre381.h"
@@ -127,9 +130,17 @@ int main(int argc, char** argv) {
   const bls12::Fp sq_in = bp.x.squared() * bp.x + bls12::Fp::from_u64(ctx.fp(), 4);
   const Bytes bp_wire = ctx.g1_to_bytes(bp);
   std::uint32_t h1_ctr = 0;
+  const Bytes wide_in = rng.bytes(2 * ctx.fp()->byte_len);  // one H1 oracle output
+  // A catch-up page: 512 distinct tags hashed as one batch (one shared
+  // affine inversion), reported per item. The tags start at 2^31, apart
+  // from the single-message probe's counter.
+  constexpr std::uint32_t kPage = 512;
+  std::vector<Bytes> page_msgs;
+  for (std::uint32_t i = 0; i < kPage; ++i) page_msgs.push_back(be32(0x80000000u + i));
+  const std::vector<ByteSpan> page(page_msgs.begin(), page_msgs.end());
   struct G1Anatomy {
     double sqrt_us, from_bytes_us, in_subgroup_us, hash_to_g1_us, mul_us,
-        mul_secret_us;
+        mul_secret_us, from_bytes_wide_us, fp_inverse_us, hash_to_g1_batch_us;
   };
   auto us = [&](const std::function<void()>& fn) {
     return 1e3 * bench::time_ms(g1_reps, fn);
@@ -140,7 +151,10 @@ int main(int argc, char** argv) {
       us([&] { (void)ctx.g1_in_subgroup(bp); }),
       us([&] { (void)ctx.hash_to_g1(be32(h1_ctr++)); }),
       us([&] { (void)ctx.g1_mul(bp, gk); }),
-      us([&] { (void)ctx.g1_mul_secret(bp, gk); })};
+      us([&] { (void)ctx.g1_mul_secret(bp, gk); }),
+      us([&] { (void)bls12::Fp::from_bytes_wide(ctx.fp(), wide_in); }),
+      us([&] { (void)sq_in.inverse(); }),
+      1e3 * bench::time_ms(3, [&] { (void)ctx.hash_to_g1_batch(page); }) / kPage};
 
   std::printf("%-32s | %8s | %9s | %8s | %8s | %9s | %9s | %s\n", "backend",
               "issue ms", "verify ms", "enc ms", "dec ms", "update B",
@@ -160,9 +174,12 @@ int main(int argc, char** argv) {
               prep_ms, miller_ms, fexp_ms, pair_ms, pair_cached_ms);
   std::printf("G1 anatomy: sqrt %.1f us, g1_from_bytes %.1f us, "
               "g1_in_subgroup %.1f us, hash_to_g1 %.1f us, g1_mul %.1f us, "
-              "g1_mul_secret %.1f us\n",
+              "g1_mul_secret %.1f us, from_bytes_wide %.2f us, "
+              "fp_inverse %.1f us, hash_to_g1 in a %u-batch %.1f us/item\n",
               g1a.sqrt_us, g1a.from_bytes_us, g1a.in_subgroup_us,
-              g1a.hash_to_g1_us, g1a.mul_us, g1a.mul_secret_us);
+              g1a.hash_to_g1_us, g1a.mul_us, g1a.mul_secret_us,
+              g1a.from_bytes_wide_us, g1a.fp_inverse_us, kPage,
+              g1a.hash_to_g1_batch_us);
 
   const char* json_path = argc > 1 ? argv[1] : "BENCH_modern_curve.json";
   if (std::FILE* f = std::fopen(json_path, "w")) {
@@ -195,9 +212,13 @@ int main(int argc, char** argv) {
                  "  \"g1_anatomy_bls381\": {\"sqrt_us\": %.2f, "
                  "\"g1_from_bytes_us\": %.2f, \"g1_in_subgroup_us\": %.2f, "
                  "\"hash_to_g1_us\": %.2f, \"g1_mul_us\": %.2f, "
-                 "\"g1_mul_secret_us\": %.2f},\n",
+                 "\"g1_mul_secret_us\": %.2f, \"from_bytes_wide_us\": %.2f, "
+                 "\"fp_inverse_us\": %.2f, "
+                 "\"hash_to_g1_batch512_us_per_item\": %.2f},\n",
                  g1a.sqrt_us, g1a.from_bytes_us, g1a.in_subgroup_us,
-                 g1a.hash_to_g1_us, g1a.mul_us, g1a.mul_secret_us);
+                 g1a.hash_to_g1_us, g1a.mul_us, g1a.mul_secret_us,
+                 g1a.from_bytes_wide_us, g1a.fp_inverse_us,
+                 g1a.hash_to_g1_batch_us);
     std::fprintf(f, "%s\n}\n", bench::metrics_json_field(2).c_str());
     std::fclose(f);
     std::printf("wrote %s\n", json_path);

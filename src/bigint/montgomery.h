@@ -36,6 +36,9 @@ class MontCtx {
   const BigInt<L>& modulus() const { return m_; }
   size_t active_limbs() const { return n_; }
   const BigInt<L>& one() const { return one_; }  // 1 in Montgomery form
+  /// R^2 mod m: one Montgomery mul by this lifts any x < R (not only
+  /// x < m) to x·R mod m, fully reduced — the CIOS bound x·R² < R·m holds.
+  const BigInt<L>& r2() const { return r2_; }
   /// R^3 mod m: one Montgomery mul by this lifts a plain a^{-1}R^{-1}
   /// (the output of mod_inverse on a Montgomery residue) back to a^{-1}R.
   const BigInt<L>& r3() const { return r3_; }

@@ -295,6 +295,29 @@ JacT<Fp> jac_mul_glv_secret(const JacT<Fp>& base, const Fp& beta, const GlvHalve
   return acc;
 }
 
+// Montgomery's trick: rescales every finite point of `pts` to z = 1
+// (x/z², y/z³) with ONE field inversion and a handful of multiplications
+// per point. Points at infinity are left as they are. Affine coordinates
+// are unique, so the result equals per-point normalization exactly.
+template <class T>
+void jac_normalize_batch(std::span<JacT<T>> pts, const T& one) {
+  if (pts.empty()) return;
+  std::vector<T> prefix(pts.size(), one);  // product of the finite z before i
+  T acc = one;
+  for (size_t i = 0; i < pts.size(); ++i) {
+    prefix[i] = acc;
+    if (!pts[i].inf()) acc = acc * pts[i].z;
+  }
+  T inv = acc.inverse();
+  for (size_t i = pts.size(); i-- > 0;) {
+    if (pts[i].inf()) continue;
+    T zi = inv * prefix[i];
+    inv = inv * pts[i].z;
+    T zi2 = zi.squared();
+    pts[i] = JacT<T>{pts[i].x * zi2, pts[i].y * zi2 * zi, one};
+  }
+}
+
 G1Point381 jac_to_g1(const JacT<Fp>& j, const FpCtx* fp) {
   if (j.inf()) return G1Point381{Fp::zero(fp), Fp::zero(fp), true};
   Fp zi = j.z.inverse();
@@ -659,20 +682,37 @@ bool Bls12Ctx::g1_in_subgroup(const G1Point381& a) const {
 }
 
 G1Point381 Bls12Ctx::hash_to_g1(ByteSpan msg) const {
-  for (std::uint32_t ctr = 0;; ++ctr) {
-    Bytes input = concat({msg, be32(ctr)});
-    Bytes h = hashing::oracle_bytes("BLS12-H1", input, 2 * fp_->byte_len);
-    Fp x = Fp::from_bytes_wide(fp_.get(), h);
-    Fp rhs = x.squared() * x + Fp::from_u64(fp_.get(), 4);
-    auto y = rhs.sqrt();
-    if (!y) continue;
-    // h1·P as ((|z|+1)/3)·((|z|+1)·P). P is not in G1 yet, so this must
-    // not go through the endomorphism ladders of g1_mul.
-    JacT<Fp> raw{x, *y, Fp::one(fp_.get())};
-    JacT<Fp> cleared = jac_mul(jac_mul_u64(raw, abs_z_ + 1),
-                               bigint::BigInt<1>::from_u64(g1_clear_third_));
-    if (!cleared.inf()) return jac_to_g1(cleared, fp_.get());
+  return hash_to_g1_batch(std::span<const ByteSpan>(&msg, 1)).front();
+}
+
+std::vector<G1Point381> Bls12Ctx::hash_to_g1_batch(std::span<const ByteSpan> msgs) const {
+  const FpCtx* fp = fp_.get();
+  const Fp four = Fp::from_u64(fp, 4);
+  std::vector<JacT<Fp>> jac;
+  jac.reserve(msgs.size());
+  for (ByteSpan msg : msgs) {
+    for (std::uint32_t ctr = 0;; ++ctr) {
+      Bytes input = concat({msg, be32(ctr)});
+      Bytes h = hashing::oracle_bytes("BLS12-H1", input, 2 * fp->byte_len);
+      Fp x = Fp::from_bytes_wide(fp, h);
+      auto y = (x.squared() * x + four).sqrt();
+      if (!y) continue;
+      // h1·P as ((|z|+1)/3)·((|z|+1)·P). P is not in G1 yet, so this must
+      // not go through the endomorphism ladders of g1_mul.
+      JacT<Fp> raw{x, *y, Fp::one(fp)};
+      JacT<Fp> cleared = jac_mul(jac_mul_u64(raw, abs_z_ + 1),
+                                 bigint::BigInt<1>::from_u64(g1_clear_third_));
+      if (cleared.inf()) continue;
+      jac.push_back(cleared);
+      break;
+    }
   }
+  // Every point is finite here, so all of them share one inversion.
+  jac_normalize_batch(std::span<JacT<Fp>>(jac), Fp::one(fp));
+  std::vector<G1Point381> out;
+  out.reserve(jac.size());
+  for (const JacT<Fp>& j : jac) out.push_back(G1Point381{j.x, j.y, false});
+  return out;
 }
 
 Bytes Bls12Ctx::g1_to_bytes(const G1Point381& a) const {
@@ -801,32 +841,12 @@ G2Comb::G2Comb(std::shared_ptr<const Bls12Ctx> ctx, const G2Point381& base)
     size_t rest = m & (m - 1);
     jac[m] = rest != 0 ? jac_add(jac[rest], tooth[t]) : tooth[t];
   }
-  // Batch-normalize the table to affine with one field inversion
-  // (Montgomery's trick over the non-infinity z coordinates).
-  std::vector<Fp2> zs;
-  zs.reserve(n);
-  for (size_t m = 1; m <= n; ++m) {
-    if (!jac[m].inf()) zs.push_back(jac[m].z);
-  }
-  std::vector<Fp2> prefix(zs.size(), Fp2::one(fp));
-  Fp2 acc = Fp2::one(fp);
-  for (size_t i = 0; i < zs.size(); ++i) {
-    prefix[i] = acc;
-    acc = acc * zs[i];
-  }
-  Fp2 inv = acc.inverse();
-  std::vector<Fp2> zinv(zs.size(), Fp2::one(fp));
-  for (size_t i = zs.size(); i-- > 0;) {
-    zinv[i] = inv * prefix[i];
-    inv = inv * zs[i];
-  }
+  // Batch-normalize the table to affine with one field inversion.
+  jac_normalize_batch(std::span<JacT<Fp2>>(jac).subspan(1), Fp2::one(fp));
   table_.resize(n, ctx_->g2_infinity());
-  size_t zi = 0;
   for (size_t m = 1; m <= n; ++m) {
     if (jac[m].inf()) continue;  // unreachable for an order-r base; kept safe
-    Fp2 i1 = zinv[zi++];
-    Fp2 i2 = i1.squared();
-    table_[m - 1] = G2Point381{jac[m].x * i2, jac[m].y * i2 * i1, false};
+    table_[m - 1] = G2Point381{jac[m].x, jac[m].y, false};
   }
 }
 

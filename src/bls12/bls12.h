@@ -159,6 +159,11 @@ class Bls12Ctx {
   /// cofactor clearing as ((|z|+1)/3)·((|z|+1)·P), which equals h1·P) —
   /// H1 for the type-3 scheme.
   G1Point381 hash_to_g1(ByteSpan msg) const;
+  /// hash_to_g1 of every message, equal point for point: try-and-increment
+  /// and cofactor clearing stay Jacobian, and the whole span shares one
+  /// field inversion (Montgomery's trick) on the way to affine.
+  /// hash_to_g1 is this for a span of one.
+  std::vector<G1Point381> hash_to_g1_batch(std::span<const ByteSpan> msgs) const;
   Bytes g1_to_bytes(const G1Point381& a) const;  // compressed, 49 bytes
   G1Point381 g1_from_bytes(ByteSpan bytes) const;
 

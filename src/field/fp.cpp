@@ -22,9 +22,23 @@ Fp Fp::from_int(const FpCtx* ctx, const FpInt& v) {
 Fp Fp::from_bytes_wide(const FpCtx* ctx, ByteSpan bytes) {
   require(ctx != nullptr, "Fp: null context");
   require(bytes.size() <= 2 * 8 * kMaxFieldLimbs, "Fp::from_bytes_wide: too long");
-  FpIntWide wide = FpIntWide::from_bytes_be(bytes);
-  FpInt reduced = bigint::mod_wide(wide, ctx->p);
-  return Fp(ctx, ctx->mont.to_mont(reduced));
+  // Horner over n-limb chunks, most significant first, in Montgomery
+  // form throughout. With R = 2^(64n), mont(v) = v·R and a chunk c < R:
+  //   mont(acc·R + c) = mont.mul(mont(acc), R²) + mont.mul(c, R²),
+  // since mont.mul(x, R²) = x·R mod p for every x < R. No division.
+  const auto& mont = ctx->mont;
+  const size_t n = mont.active_limbs();
+  const FpIntWide wide = FpIntWide::from_bytes_be(bytes);
+  const size_t chunks = ((bytes.size() + 7) / 8 + n - 1) / n;
+  FpInt acc{};
+  for (size_t c = chunks; c-- > 0;) {
+    FpInt chunk{};
+    for (size_t j = 0; j < n && c * n + j < FpIntWide::kLimbs; ++j) {
+      chunk.w[j] = wide.w[c * n + j];
+    }
+    acc = mont.add(mont.mul(acc, mont.r2()), mont.mul(chunk, mont.r2()));
+  }
+  return Fp(ctx, acc);
 }
 
 Fp Fp::from_bytes(const FpCtx* ctx, ByteSpan bytes) {

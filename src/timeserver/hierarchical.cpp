@@ -140,8 +140,7 @@ Scalar HierarchicalTimeServer::node_secret(const IdPath& path) const {
     input.insert(input.end(), component.begin(), component.end());
   }
   Bytes wide = hashing::oracle_bytes("HTS-NODE", input, params_->scalar_bytes() + 16);
-  auto v = bigint::BigInt<2 * field::kMaxFieldLimbs>::from_bytes_be(wide);
-  Scalar s = bigint::mod_wide(v, params_->group_order());
+  Scalar s = field::Fp::from_bytes_wide(params_->curve->fq.get(), wide).to_int();
   if (s.is_zero()) s = Scalar::from_u64(1);
   return s;
 }

@@ -1,6 +1,6 @@
 // G1 on BLS12-381 against an independent oracle: the subgroup test on
-// hostile points, the scalar ladders on edge scalars, and pinned
-// hash-to-G1 outputs.
+// hostile points, the scalar ladders on edge scalars, pinned hash-to-G1
+// outputs, and the batch hash against the single-message one.
 //
 // E(F_p) has order h1·r with h1 = 3·11²·10177²·859267²·52437899², so a
 // decoder that only checks the curve equation accepts points carrying a
@@ -272,6 +272,33 @@ TEST_F(G1Fixture, HashToG1MatchesPinnedVectors) {
     EXPECT_EQ(to_hex(ctx_->g1_to_bytes(h)), v.hex) << "msg=\"" << v.msg << "\"";
     EXPECT_TRUE(oracle_.mul(h, ctx_->r()).inf);
   }
+}
+
+TEST_F(G1Fixture, HashToG1BatchMatchesPerItem) {
+  // The batch shares one affine inversion across its points; every
+  // output must still equal hash_to_g1 of its message, repeats included.
+  for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{513}}) {
+    std::vector<Bytes> msgs;
+    for (size_t i = 0; i < n; ++i) {
+      // n = 2 hashes one message twice; n = 513 repeats every message
+      // below 256 and starts with the pinned empty-message vector.
+      msgs.push_back(n == 2 ? to_bytes("twice")
+                     : i == 0 ? Bytes{}
+                              : to_bytes("batch-" + std::to_string(i % 256)));
+    }
+    std::vector<ByteSpan> spans(msgs.begin(), msgs.end());
+    std::vector<G1Point381> batch = ctx_->hash_to_g1_batch(spans);
+    ASSERT_EQ(batch.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      G1Point381 single = ctx_->hash_to_g1(msgs[i]);
+      ASSERT_FALSE(batch[i].inf) << "n=" << n << " i=" << i;
+      ASSERT_TRUE(ctx_->g1_eq(batch[i], single)) << "n=" << n << " i=" << i;
+      ASSERT_EQ(ctx_->g1_to_bytes(batch[i]), ctx_->g1_to_bytes(single));
+    }
+  }
+  G1Point381 empty = ctx_->hash_to_g1_batch(std::vector<ByteSpan>{ByteSpan{}}).front();
+  EXPECT_EQ(to_hex(ctx_->g1_to_bytes(empty)),
+            "03146ffa01da2098153d49f62849213522f2121ba8b5c210388efc2c80625e732e484d99778a30b235a35c0f90507e00de");
 }
 
 }  // namespace

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "bls12/bls12.h"
 #include "field/fp2.h"
 #include "hashing/drbg.h"
+#include "params/params.h"
 
 namespace tre::field {
 namespace {
@@ -41,6 +45,60 @@ TEST_F(FpTest, FromBytesWideReduces) {
   Bytes wide(2 * ctx_.byte_len, 0xff);
   Fp v = Fp::from_bytes_wide(&ctx_, wide);
   EXPECT_LT(v.to_int(), ctx_.p);
+}
+
+// The Montgomery-Horner wide reduction against the division oracle
+// to_mont(mod_wide(v, p)), on every embedded field: base and scalar
+// fields of each type-1 set and BLS12-381's p and r. Every input length
+// from 0 to 2·byte_len (plus the 192-byte maximum) sees the low bytes of
+// the edge values 0, p−1, p, k·p, p·R−1 and all-0xff, and random bytes.
+TEST(FpWideReductionTest, MatchesModWideOnEmbeddedFields) {
+  std::vector<const FpCtx*> fields;
+  for (const auto& name : params::available()) {
+    auto set = params::load(name);
+    fields.push_back(set->curve->fp.get());
+    fields.push_back(set->curve->fq.get());
+  }
+  auto bls = bls12::Bls12Ctx::get();
+  fields.push_back(bls->fp());
+  fields.push_back(bls->fr());
+  ASSERT_GE(fields.size(), 8u);
+
+  constexpr size_t kMaxBytes = 8 * FpIntWide::kLimbs;  // 192
+  hashing::HmacDrbg rng(to_bytes("wide-reduction"));
+  for (const FpCtx* f : fields) {
+    const FpIntWide p = f->p.resized<FpIntWide::kLimbs>();
+    const FpIntWide one = FpIntWide::from_u64(1);
+    const size_t r_bits = 64 * f->mont.active_limbs();
+    std::vector<FpIntWide> edges = {
+        FpIntWide{},
+        bigint::sub(p, one),
+        p,
+        bigint::mul_wide(f->p, bigint::BigInt<1>::from_u64(0x9e3779b97f4a7c15ull))
+            .resized<FpIntWide::kLimbs>(),
+        bigint::sub(bigint::shl(p, r_bits), one),
+    };
+    std::vector<size_t> lengths;
+    for (size_t len = 0; len <= 2 * f->byte_len; ++len) lengths.push_back(len);
+    lengths.push_back(kMaxBytes);
+    for (size_t len : lengths) {
+      std::vector<Bytes> inputs;
+      for (const FpIntWide& v : edges) {
+        Bytes full = v.to_bytes_be(kMaxBytes);
+        inputs.emplace_back(full.end() - static_cast<std::ptrdiff_t>(len), full.end());
+      }
+      inputs.emplace_back(len, 0xff);
+      inputs.push_back(rng.bytes(len));
+      for (const Bytes& in : inputs) {
+        FpInt want = bigint::mod_wide(FpIntWide::from_bytes_be(in), f->p);
+        Fp got = Fp::from_bytes_wide(f, in);
+        ASSERT_EQ(got.to_int(), want)
+            << "p bits " << f->p.bit_length() << ", length " << len
+            << ", input " << to_hex(in);
+        ASSERT_EQ(got, Fp::from_int(f, want));
+      }
+    }
+  }
 }
 
 TEST_F(FpTest, FieldAxioms) {

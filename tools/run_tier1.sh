@@ -45,8 +45,13 @@
 #
 # BACKEND=381 restricts every ctest leg (including the MATRIX trees) to
 # the BLS12-381 backend suites — the low-level curve/pairing tests
-# (Bls12Test), the generic-core instantiation and parity suites
-# (Tre381Test, Tre381ParityTest, Threshold381Test), and the two-backend
+# (Bls12Test), the G1 hostile-point, ladder and hash-to-G1 tests
+# (G1Fixture), the wide-reduction oracle over every embedded field
+# including BLS12-381's p and r (FpWideReductionTest), the batch
+# tag-cache publish under the batched H1 (SnapshotCacheTest.InsertMany*),
+# every suite whose name carries "381" (Tre381Test, Tre381ParityTest,
+# Threshold381Test, Bls381GoldenTest, Bls381VectorsTest and the
+# Bls381Backend instantiations of the typed suites), and the two-backend
 # CLI roundtrip — for fast iteration on the modern curve. The default
 # (BACKEND unset or "all") runs the full suite, which already contains
 # those tests: the plain gate covers both backends.
@@ -76,7 +81,7 @@ TEST_TIMEOUT="${TEST_TIMEOUT:-300}"
 # unset) runs everything.
 CTEST_FILTER=()
 case "${BACKEND:-all}" in
-  381) CTEST_FILTER=(-R '381|Bls12Test|cli_roundtrip') ;;
+  381) CTEST_FILTER=(-R '381|Bls12Test|G1Fixture|FpWideReductionTest|SnapshotCacheTest\.InsertMany|cli_roundtrip') ;;
   all) ;;
   *) echo "run_tier1.sh: unknown BACKEND '$BACKEND' (use 381 or all)" >&2; exit 2 ;;
 esac
