@@ -49,7 +49,8 @@ int main() {
     timeline.advance_to(deadline.unix_seconds());
     double server_ms = bench::time_ms(1, [&] { (void)authority.tick(); });
     std::uint64_t server_bytes = authority.stats().bytes_published - bytes_before;
-    core::KeyUpdate update = *authority.archive().find(deadline.canonical());
+    core::KeyUpdate update =
+        core::KeyUpdate::from_bytes(*params, *authority.archive().find(deadline.canonical()));
 
     // Everyone verifies the self-authenticating update once.
     double verify_ms = bench::time_ms(

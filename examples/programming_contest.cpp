@@ -70,7 +70,8 @@ int main() {
               static_cast<unsigned long long>(authority.bus().stats().drops));
 
   // Unlucky teams fetch the missed update from the public archive.
-  core::KeyUpdate archived = *authority.archive().find(contest_start);
+  core::KeyUpdate archived =
+      core::KeyUpdate::from_bytes(*params, *authority.archive().find(contest_start));
   for (auto& team : teams) {
     if (!team.opened) {
       team.opened = scheme.decrypt(team.handout, team.keys.a, archived);

@@ -63,7 +63,8 @@ int main() {
   // The deadline passes.
   timeline.advance_to(server::TimeSpec::parse(deadline)->unix_seconds());
   clock_authority.tick();
-  core::KeyUpdate update = *clock_authority.archive().find(deadline);
+  core::KeyUpdate update =
+      core::KeyUpdate::from_bytes(*params, *clock_authority.archive().find(deadline));
   std::printf("06-06 12:00: update published (%zu bytes, one for all bidders)\n\n",
               update.to_bytes().size());
 

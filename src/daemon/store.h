@@ -1,5 +1,5 @@
-// The daemon's serving surface: a thread-safe archive of PRE-SERIALIZED
-// artifacts.
+// The one archive: a thread-safe store of PRE-SERIALIZED artifacts —
+// the paper's public "list of old key updates" (§3).
 //
 // tred never parses what it serves. Updates enter as the exact bytes
 // core::BasicKeyUpdate<B>::to_bytes() produced and leave the same way;
@@ -8,6 +8,14 @@
 // what makes an untrusted byte-shuffling server safe). Keeping the store
 // backend-free also means one daemon binary serves either curve: the
 // set name in the key reply tells receivers which codec to parse with.
+// The time server (timeserver/timeserver.h) and the simnet origin and
+// replicas (simnet/mirrors.h) keep their archives here too, decoding
+// with the backend codec only where they need a typed update back.
+//
+// Updates and a beacon node's own partials are two lanes of the same
+// shape — publication order plus a tag index — under one
+// no-equivocation rule: an identical re-publish is a no-op, a different
+// one is refused with Errc::kConflict and the first bytes stay served.
 //
 // Concurrency: a shared_mutex. The event loop only reads; a publisher
 // thread (a TimeServer hitting a granule boundary, tre_cli serve's
@@ -59,25 +67,36 @@ class Store {
 
   /// Archives this beacon node's PARTIAL update wire bytes
   /// (threshold::BasicPartialUpdate<B>::to_bytes) under `tag`, same
-  /// no-equivocation discipline as put(). A daemon serving partials is
-  /// one node of a t-of-n beacon: it stores its OWN share's partial per
+  /// no-equivocation rule as put(). A daemon serving partials is one
+  /// node of a t-of-n beacon: it stores its OWN share's partial per
   /// tag, never anyone else's.
   Result<bool> put_partial(const std::string& tag, Bytes wire);
 
   std::optional<Bytes> find_partial(std::string_view tag) const;
 
-  size_t partial_count() const;
+  /// range() over the partial lane, in publication order.
+  RangeView partial_range(std::uint64_t start, std::uint32_t max_count,
+                          size_t max_reply_bytes) const;
 
   size_t size() const;
   size_t total_bytes() const;
 
  private:
+  struct Lane {
+    std::vector<std::pair<std::string, Bytes>> ordered;  // (tag, wire)
+    std::unordered_map<std::string, size_t> index;       // tag -> position
+
+    Result<bool> put(const std::string& tag, Bytes wire, size_t& total_bytes);
+    std::optional<Bytes> find(std::string_view tag) const;
+    RangeView range(std::uint64_t start, std::uint32_t max_count,
+                    size_t max_reply_bytes) const;
+  };
+
   mutable std::shared_mutex mu_;
   std::string set_name_;
   Bytes pub_;
-  std::vector<std::pair<std::string, Bytes>> ordered_;  // (tag, wire)
-  std::unordered_map<std::string, size_t> index_;       // tag -> position
-  std::unordered_map<std::string, Bytes> partials_;     // tag -> partial wire
+  Lane updates_;
+  Lane partials_;
   size_t total_bytes_ = 0;
 };
 

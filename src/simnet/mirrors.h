@@ -15,6 +15,10 @@
 //     because updates self-authenticate (ê(sG,H1(T)) == ê(G,I_T)), the
 //     check client/fetcher.h builds its pipeline on.
 //
+// The origin and every replica keep a daemon::Store of wire bytes —
+// replication carries the bytes, and an honest replica serves them as
+// stored.
+//
 // Backend-generic: BasicMirroredArchive<B> replicates whichever
 // backend's updates the server broadcasts; the trust boundary in fetch()
 // uses that backend's wire codec, so e.g. a type-1 update served to a
@@ -23,14 +27,15 @@
 #pragma once
 
 #include <algorithm>
-#include <map>
+#include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 
 #include "core/tre.h"
+#include "daemon/store.h"
 #include "simnet/network.h"
 #include "threshold/threshold.h"
-#include "timeserver/archive.h"
 
 namespace tre::simnet {
 
@@ -82,7 +87,7 @@ class BasicMirroredArchive {
     for (size_t i = 0; i < mirror_count; ++i) {
       NodeId node = net_.add_node("mirror-" + std::to_string(i));
       net_.connect(origin_, node, replication_link);
-      mirrors_.push_back(Replica{node, {}});
+      mirrors_.push_back(Replica{node, std::make_unique<daemon::Store>()});
     }
   }
 
@@ -94,21 +99,27 @@ class BasicMirroredArchive {
     return mirrors_[idx].node;
   }
 
-  /// Origin-side: stores locally and pushes one copy per mirror. A
-  /// mirror that is crashed (per the fault plan) at the replication
-  /// arrival instant misses the update until a later publish.
+  /// Origin-side: stores locally and pushes one copy of the wire bytes
+  /// per mirror. A mirror that is crashed (per the fault plan) at the
+  /// replication arrival instant misses the update until a later
+  /// publish. A different update for an already-published tag throws:
+  /// the origin never equivocates.
   void publish(const core::BasicKeyUpdate<B>& update) {
     publishes_.add();
     detail::mirror_probes().publishes.add();
-    origin_archive_.put(update);
-    size_t wire = update.to_bytes().size();
+    Bytes wire = update.to_bytes();
+    require(origin_archive_.put(update.tag, wire).ok(),
+            "MirroredArchive: conflicting update for the same tag");
     for (size_t i = 0; i < mirrors_.size(); ++i) {
       replication_messages_.add();
       detail::mirror_probes().replication_messages.add();
-      // Copy captured by value: the mirror stores it at arrival time.
-      core::BasicKeyUpdate<B> copy = update;
-      net_.send(origin_, mirrors_[i].node, wire,
-                [this, i, copy = std::move(copy)] { mirrors_[i].archive.put(copy); });
+      // Bytes captured by value: the mirror stores them at arrival time.
+      // Its put cannot conflict — the origin, its only writer, already
+      // refused any conflicting update above.
+      net_.send(origin_, mirrors_[i].node, wire.size(),
+                [this, i, tag = update.tag, wire] {
+                  (void)mirrors_[i].archive->put(tag, wire);
+                });
     }
   }
 
@@ -116,7 +127,7 @@ class BasicMirroredArchive {
 
   /// One wire-level request/response round trip: `on_reply` receives the
   /// served bytes exactly as the replica chose to send them — honest
-  /// mirrors serve `KeyUpdate::to_bytes()`, Byzantine mirrors (per the
+  /// mirrors serve the stored `KeyUpdate` bytes, Byzantine mirrors (per the
   /// network's FaultPlan) may serve corrupted/relabelled/garbage bytes.
   /// No callback fires when the update is absent, a leg is lost, or the
   /// mirror stays silent; the CALLER owns retry timing. This is the
@@ -151,18 +162,22 @@ class BasicMirroredArchive {
   /// Beacon-node side: mirror `mirror_idx` doubles as node i of a t-of-n
   /// threshold beacon and stores ITS OWN partial update for later
   /// serving. There is no origin replication here — partials originate
-  /// at the node that holds the share.
+  /// at the node that holds the share. Re-publishing the same partial is
+  /// a no-op; a DIFFERENT partial for a stored tag throws and the first
+  /// one stays served, as publish() refuses a conflicting update.
   void publish_partial(size_t mirror_idx,
-                       threshold::BasicPartialUpdate<B> partial) {
+                       const threshold::BasicPartialUpdate<B>& partial) {
     require(mirror_idx < mirrors_.size(), "MirroredArchive: bad mirror index");
     detail::mirror_probes().partial_publishes.add();
-    mirrors_[mirror_idx].partials[partial.tag] = std::move(partial);
+    daemon::Store& store = *mirrors_[mirror_idx].archive;
+    require(store.put_partial(partial.tag, partial.to_bytes()).ok(),
+            "MirroredArchive: conflicting partial for the same tag");
   }
 
   /// Wire-level beacon reply, synchronous (quorum collection is a bulk
   /// path — see UpdateSource::request_partial): what mirror `mirror_idx`
-  /// puts on the wire for its partial on `tag`. Honest nodes serve
-  /// PartialUpdate::to_bytes(); Byzantine nodes (per the network's
+  /// puts on the wire for its partial on `tag`. Honest nodes serve the
+  /// stored PartialUpdate bytes; Byzantine nodes (per the network's
   /// FaultPlan) serve bit-flipped, relabelled, or garbage bytes; crashed
   /// or dropping nodes stay silent (nullopt).
   std::optional<Bytes> partial_reply(size_t mirror_idx, const std::string& tag) {
@@ -173,38 +188,38 @@ class BasicMirroredArchive {
     if (plan && !plan->node_up(node, timeline_.now())) {
       return std::nullopt;  // crashed
     }
-    const auto& partials = mirrors_[mirror_idx].partials;
-    auto found = partials.find(tag);
+    const daemon::Store& store = *mirrors_[mirror_idx].archive;
+    std::optional<Bytes> found = store.find_partial(tag);
 
     ByzantineMode mode = ByzantineMode::kHonest;
     if (plan) mode = plan->behaviour(node);
     switch (mode) {
       case ByzantineMode::kHonest:
-        if (found == partials.end()) return std::nullopt;
-        return found->second.to_bytes();
+        return found;
       case ByzantineMode::kDrop:
         return std::nullopt;
       case ByzantineMode::kBitFlip:
-        if (found == partials.end()) return std::nullopt;
+        if (!found) return std::nullopt;
         count_byzantine(detail::mirror_probes().byzantine_bitflip);
-        return plan->flip_one_bit(found->second.to_bytes());
+        return plan->flip_one_bit(*found);
       case ByzantineMode::kRelabel: {
         // Serve some OTHER tag's partial signature under the requested
-        // tag — well-formed bytes that fail the pairing check.
-        for (const auto& [other_tag, other] : partials) {
-          if (other_tag == tag) continue;
+        // tag — well-formed bytes that fail the pairing check. Tags are
+        // unique per lane, so of the two oldest entries at least one is
+        // another tag's.
+        for (const Bytes& wire : store.partial_range(0, 2, kUnbounded).updates) {
+          if (found && wire == *found) continue;
+          auto other = threshold::BasicPartialUpdate<B>::from_bytes(*params_, wire);
           count_byzantine(detail::mirror_probes().byzantine_relabel);
           return threshold::BasicPartialUpdate<B>{other.index, tag, other.sig}
               .to_bytes();
         }
-        if (found == partials.end()) return std::nullopt;
+        if (!found) return std::nullopt;
         count_byzantine(detail::mirror_probes().byzantine_garbage);
-        return plan->garbage(found->second.to_bytes().size());
+        return plan->garbage(found->size());
       }
       case ByzantineMode::kGarbage: {
-        size_t len = found != partials.end()
-                         ? found->second.to_bytes().size()
-                         : 4 + tag.size() + B::gu_wire_bytes(*params_);
+        size_t len = found ? found->size() : 4 + tag.size() + B::gu_wire_bytes(*params_);
         count_byzantine(detail::mirror_probes().byzantine_garbage);
         return plan->garbage(len);
       }
@@ -264,12 +279,14 @@ class BasicMirroredArchive {
   const obs::Registry& metrics() const { return reg_; }
 
  private:
+  // A replica's store holds the updates replicated from the origin and,
+  // when it doubles as a beacon node, its own partials.
   struct Replica {
     NodeId node;
-    server::BasicUpdateArchive<B> archive;
-    // Beacon-node state: this node's own partials, keyed by tag.
-    std::map<std::string, threshold::BasicPartialUpdate<B>> partials;
+    std::unique_ptr<daemon::Store> archive;
   };
+
+  static constexpr size_t kUnbounded = std::numeric_limits<size_t>::max();
 
   void count_byzantine(const obs::CounterProbe& breakdown) {
     byzantine_replies_.add();
@@ -295,14 +312,14 @@ class BasicMirroredArchive {
     return mirror_idx == kOrigin ? origin_ : mirrors_[mirror_idx].node;
   }
 
-  const server::BasicUpdateArchive<B>& archive_for(size_t mirror_idx) const {
-    return mirror_idx == kOrigin ? origin_archive_ : mirrors_[mirror_idx].archive;
+  const daemon::Store& archive_for(size_t mirror_idx) const {
+    return mirror_idx == kOrigin ? origin_archive_ : *mirrors_[mirror_idx].archive;
   }
 
   /// What the replica puts on the wire for `tag` (empty = stay silent).
   std::optional<Bytes> replica_reply(size_t mirror_idx, const std::string& tag) {
-    const server::BasicUpdateArchive<B>& archive = archive_for(mirror_idx);
-    std::optional<core::BasicKeyUpdate<B>> found = archive.find(tag);
+    const daemon::Store& archive = archive_for(mirror_idx);
+    std::optional<Bytes> found = archive.find(tag);
 
     ByzantineMode mode = ByzantineMode::kHonest;
     FaultPlan* plan = net_.fault_plan();
@@ -311,41 +328,34 @@ class BasicMirroredArchive {
 
     switch (mode) {
       case ByzantineMode::kHonest:
-        if (!found) return std::nullopt;
-        return found->to_bytes();
+        return found;
       case ByzantineMode::kDrop:
         return std::nullopt;
       case ByzantineMode::kBitFlip:
         if (!found) return std::nullopt;  // nothing to corrupt yet
-        byzantine_replies_.add();
-        detail::mirror_probes().byzantine_replies.add();
-        detail::mirror_probes().byzantine_bitflip.add();
-        return plan->flip_one_bit(found->to_bytes());
+        count_byzantine(detail::mirror_probes().byzantine_bitflip);
+        return plan->flip_one_bit(*found);
       case ByzantineMode::kRelabel: {
-        // Serve some OTHER archived update's signature under the requested
-        // tag — a well-formed point that fails self-authentication.
-        const auto& all = archive.all();
-        for (auto it = all.rbegin(); it != all.rend(); ++it) {
-          if (it->tag != tag) {
-            byzantine_replies_.add();
-            detail::mirror_probes().byzantine_replies.add();
-            detail::mirror_probes().byzantine_relabel.add();
-            return core::BasicKeyUpdate<B>{tag, it->sig}.to_bytes();
-          }
+        // Serve the newest OTHER archived update's signature under the
+        // requested tag — a well-formed point that fails
+        // self-authentication. Tags are unique, so it is one of the two
+        // newest entries.
+        daemon::Store::RangeView last = archive.range(
+            archive.size() < 2 ? 0 : archive.size() - 2, 2, kUnbounded);
+        for (auto it = last.updates.rbegin(); it != last.updates.rend(); ++it) {
+          if (found && *it == *found) continue;
+          auto other = core::BasicKeyUpdate<B>::from_bytes(*params_, *it);
+          count_byzantine(detail::mirror_probes().byzantine_relabel);
+          return core::BasicKeyUpdate<B>{tag, other.sig}.to_bytes();
         }
-        if (all.empty()) return std::nullopt;
+        if (last.updates.empty()) return std::nullopt;
         // Only the requested update exists: degrade to garbage of honest size.
-        byzantine_replies_.add();
-        detail::mirror_probes().byzantine_replies.add();
-        detail::mirror_probes().byzantine_garbage.add();
-        return plan->garbage(all.front().to_bytes().size());
+        count_byzantine(detail::mirror_probes().byzantine_garbage);
+        return plan->garbage(found->size());
       }
       case ByzantineMode::kGarbage: {
-        size_t len = found ? found->to_bytes().size()
-                           : tag.size() + 2 + B::gu_wire_bytes(*params_);
-        byzantine_replies_.add();
-        detail::mirror_probes().byzantine_replies.add();
-        detail::mirror_probes().byzantine_garbage.add();
+        size_t len = found ? found->size() : tag.size() + 2 + B::gu_wire_bytes(*params_);
+        count_byzantine(detail::mirror_probes().byzantine_garbage);
         return plan->garbage(len);
       }
     }
@@ -392,7 +402,7 @@ class BasicMirroredArchive {
   Network& net_;
   server::Timeline& timeline_;
   NodeId origin_;
-  server::BasicUpdateArchive<B> origin_archive_;
+  daemon::Store origin_archive_;
   std::vector<Replica> mirrors_;
   // Instance accounting in a private registry; handles resolved once
   // because registry lookup takes a lock.

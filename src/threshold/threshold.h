@@ -16,10 +16,10 @@
 // This header subsumes the two earlier per-backend sketches
 // (core::ThresholdTre on tre-512 and bls12::Threshold381 on BLS12-381):
 // one BasicThresholdScheme<B> is instantiated over the same
-// PairingBackend policies as the generic TRE core, and the old names
-// survive as thin aliases. Artifact placement follows the core scheme:
-// share commitments s_i·G live in the header group Gh (next to sG),
-// partial updates s_i·H1(T) in the update group Gu.
+// PairingBackend policies as the generic TRE core. Artifact placement
+// follows the core scheme: share commitments s_i·G live in the header
+// group Gh (next to sG), partial updates s_i·H1(T) in the update group
+// Gu.
 //
 // Setup comes in two flavours:
 //   * dealer setup here (a trusted dealer samples the polynomial and
@@ -260,7 +260,10 @@ class BasicThresholdScheme {
 
   /// Dealer setup: samples s and a degree-(k-1) polynomial, returns the
   /// public key material and the n secret shares. The group generator is
-  /// the backend's fixed header base (the drand layout); a DKG
+  /// the backend's fixed header base (the drand layout), on tre-512 too,
+  /// where the pre-generic sketch sampled a random generator per
+  /// network; the combined update s·H1(T) never involves the generator,
+  /// so nothing downstream observes the difference. A DKG
   /// (threshold/dkg.h) produces the same types without the dealer.
   std::pair<BasicThresholdKey<B>, std::vector<BasicServerShare<B>>> setup(
       ThresholdConfig config, tre::hashing::RandomSource& rng) const {

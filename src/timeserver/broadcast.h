@@ -2,8 +2,9 @@
 //
 // The server publishes; subscribers receive with configurable per-delivery
 // loss probability and delay jitter, all deterministic under a seed.
-// Receivers that miss an update fall back to the UpdateArchive — the
-// examples and experiment E7 exercise exactly that path.
+// Receivers that miss an update fall back to the server's archive (the
+// daemon::Store behind TimeServer::archive()) — the examples exercise
+// exactly that path, and experiment E7 measures the store.
 //
 // Backend-generic: the bus carries BasicKeyUpdate<B> for whichever
 // pairing backend the server runs on; `BroadcastBus` is the type-1

@@ -2,9 +2,9 @@
 //
 // Operation: at every granule boundary the server signs the canonical
 // time string and broadcasts the update; old updates go to the public
-// archive. The server holds NO user state — it does not know how many
-// receivers exist (the GPS analogy) — and it enforces the paper's two
-// trust assumptions:
+// archive (a daemon::Store of wire bytes). The server holds NO user
+// state — it does not know how many receivers exist (the GPS analogy) —
+// and it enforces the paper's two trust assumptions:
 //   1. consistent timing: it signs exactly the timeline's current instant,
 //      in order, no gaps at its granularity;
 //   2. no early release: issuing an update for a future instant throws.
@@ -20,10 +20,10 @@
 
 #include "common/error.h"
 #include "core/tre.h"
+#include "daemon/store.h"
 #include "hashing/drbg.h"
 #include "obs/metrics.h"
 #include "threshold/threshold.h"
-#include "timeserver/archive.h"
 #include "timeserver/broadcast.h"
 #include "timeserver/timespec.h"
 
@@ -122,7 +122,7 @@ class BasicTimeServer {
   Result<core::BasicKeyUpdate<B>> try_issue_for(const TimeSpec& t) {
     // Trust assumption 2: never sign a future instant.
     if (t.unix_seconds() > timeline_.now()) return Errc::kFutureInstant;
-    if (auto existing = archive_.find(t.canonical())) return *existing;
+    if (auto existing = archive_.find(t.canonical())) return decode(*existing);
     return issue_unchecked(t);
   }
 
@@ -215,8 +215,9 @@ class BasicTimeServer {
     std::vector<std::string> missing_tags;
     std::vector<size_t> missing_at;
     for (size_t i = 0; i < instants.size(); ++i) {
-      out[i] = archive_.find(instants[i].canonical());
-      if (!out[i]) {
+      if (auto existing = archive_.find(instants[i].canonical())) {
+        out[i] = decode(*existing);
+      } else {
         missing_tags.push_back(instants[i].canonical());
         missing_at.push_back(i);
       }
@@ -233,13 +234,7 @@ class BasicTimeServer {
                 .empty(),
             "issue_range: freshly issued updates failed the batch self-check");
     for (size_t j = 0; j < fresh.size(); ++j) {
-      archive_.put(fresh[j]);
-      bus_.publish(fresh[j]);
-      ++stats_.updates_issued;
-      const std::uint64_t wire_bytes = fresh[j].to_bytes().size();
-      stats_.bytes_published += wire_bytes;
-      detail::server_probes().updates_issued.add();
-      detail::server_probes().broadcast_bytes.add(wire_bytes);
+      publish(fresh[j]);
       out[missing_at[j]] = std::move(fresh[j]);
     }
 
@@ -249,7 +244,9 @@ class BasicTimeServer {
     return result;
   }
 
-  const BasicUpdateArchive<B>& archive() const { return archive_; }
+  /// The public list of old updates: each issued update's wire bytes,
+  /// oldest first (decode with BasicKeyUpdate<B>::from_bytes).
+  const daemon::Store& archive() const { return archive_; }
   BasicBroadcastBus<B>& bus() { return bus_; }
 
   struct Stats {
@@ -278,14 +275,28 @@ class BasicTimeServer {
   core::BasicKeyUpdate<B> issue_unchecked(const TimeSpec& t) {
     obs::Span span(detail::server_probes().issue_ns);
     core::BasicKeyUpdate<B> update = scheme_.issue_update(keys_, t.canonical());
-    archive_.put(update);
+    publish(update);
+    return update;
+  }
+
+  /// Archives `update` (serialized once: those bytes are stored and
+  /// counted) and broadcasts it. A different signature for an archived
+  /// tag means the signer is inconsistent, which must never reach the
+  /// public list.
+  void publish(const core::BasicKeyUpdate<B>& update) {
+    Bytes wire = update.to_bytes();
+    const std::uint64_t wire_bytes = wire.size();
+    require(archive_.put(update.tag, std::move(wire)).ok(),
+            "TimeServer: conflicting update for an archived tag");
     bus_.publish(update);
     ++stats_.updates_issued;
-    const std::uint64_t wire_bytes = update.to_bytes().size();
     stats_.bytes_published += wire_bytes;
     detail::server_probes().updates_issued.add();
     detail::server_probes().broadcast_bytes.add(wire_bytes);
-    return update;
+  }
+
+  core::BasicKeyUpdate<B> decode(const Bytes& wire) const {
+    return core::BasicKeyUpdate<B>::from_bytes(*params_, wire);
   }
 
   std::int64_t next_boundary() const {
@@ -301,7 +312,7 @@ class BasicTimeServer {
   core::BasicServerKeyPair<B> keys_;
   Timeline& timeline_;
   std::vector<Level> levels_;  // finest first
-  BasicUpdateArchive<B> archive_;
+  daemon::Store archive_;
   BasicBroadcastBus<B> bus_;
   // Dedicated DRBG for the issue_range batch self-check, forked from the
   // keygen rng at construction so check scalars never touch key material.

@@ -2,11 +2,12 @@
 // test — ate-pairing bilinearity. The context itself validates p, r,
 // curve orders and the Frobenius eigenvalue at construction, so merely
 // constructing it exercises the self-checks.
-#include "bls12/threshold381.h"
+#include "bls12/tre381.h"
 
 #include <gtest/gtest.h>
 
 #include "hashing/drbg.h"
+#include "threshold/threshold.h"
 
 namespace tre::bls12 {
 namespace {
@@ -247,7 +248,8 @@ TEST_F(Tre381Test, WireRoundtrips) {
 // --- drand-shaped threshold network on BLS12-381 ---------------------------------
 
 TEST(Threshold381Test, ThreeOfFiveEndToEnd) {
-  Threshold381 net(Bls12Ctx::get());
+  using Partial = threshold::BasicPartialUpdate<Bls381Backend>;
+  threshold::BasicThresholdScheme<Bls381Backend> net(Bls12Ctx::get());
   Tre381Scheme scheme = make_tre381();
   auto ctx = Bls12Ctx::get();
   hashing::HmacDrbg rng(to_bytes("threshold381-tests"));
@@ -261,11 +263,11 @@ TEST(Threshold381Test, ThreeOfFiveEndToEnd) {
   auto ct = scheme.encrypt(msg, user.pub, group, "round-12345", rng);
 
   // Operators 1, 3, 5 publish partials; 4 is corrupt.
-  std::vector<Partial381> partials = {net.issue_partial(shares[0], "round-12345"),
-                                      net.issue_partial(shares[2], "round-12345"),
-                                      net.issue_partial(shares[4], "round-12345")};
+  std::vector<Partial> partials = {net.issue_partial(shares[0], "round-12345"),
+                                   net.issue_partial(shares[2], "round-12345"),
+                                   net.issue_partial(shares[4], "round-12345")};
   for (const auto& p : partials) EXPECT_TRUE(net.verify_partial(key, p));
-  Partial381 corrupt = net.issue_partial(shares[3], "round-12345");
+  Partial corrupt = net.issue_partial(shares[3], "round-12345");
   corrupt.sig = ctx->g1_add(corrupt.sig, corrupt.sig);
   EXPECT_FALSE(net.verify_partial(key, corrupt));
 
@@ -274,14 +276,14 @@ TEST(Threshold381Test, ThreeOfFiveEndToEnd) {
   EXPECT_EQ(scheme.decrypt(ct, user.a, update), msg);
 
   // Any other k-subset combines to the identical update.
-  std::vector<Partial381> other = {net.issue_partial(shares[1], "round-12345"),
-                                   net.issue_partial(shares[3], "round-12345"),
-                                   net.issue_partial(shares[0], "round-12345")};
+  std::vector<Partial> other = {net.issue_partial(shares[1], "round-12345"),
+                                net.issue_partial(shares[3], "round-12345"),
+                                net.issue_partial(shares[0], "round-12345")};
   Update381 update2 = net.combine(key, other);
   EXPECT_TRUE(ctx->g1_eq(update.sig, update2.sig));
 
   // Below threshold fails.
-  std::vector<Partial381> two(partials.begin(), partials.begin() + 2);
+  std::vector<Partial> two(partials.begin(), partials.begin() + 2);
   EXPECT_THROW(net.combine(key, two), Error);
 }
 

@@ -227,21 +227,49 @@ TEST(Frame, ErrcWireCodesRoundTrip) {
 
 // --- Store -------------------------------------------------------------------
 
+// Both lanes — updates and a beacon node's own partials — under the one
+// rule, each on a fresh store and each leaving the other lane empty.
 TEST(Store, PutIsIdempotentButNeverEquivocates) {
+  struct Lane {
+    const char* name;
+    Result<bool> (Store::*put)(const std::string&, Bytes);
+    std::optional<Bytes> (Store::*find)(std::string_view) const;
+    std::optional<Bytes> (Store::*other_find)(std::string_view) const;
+    size_t size_after;  // size() counts the update lane only
+  };
+  for (const Lane& lane :
+       {Lane{"updates", &Store::put, &Store::find, &Store::find_partial, 1},
+        Lane{"partials", &Store::put_partial, &Store::find_partial, &Store::find, 0}}) {
+    SCOPED_TRACE(lane.name);
+    Store s;
+    auto first = (s.*lane.put)("T1", to_bytes("wire-1"));
+    ASSERT_TRUE(first.ok());
+    EXPECT_TRUE(first.value());
+    auto again = (s.*lane.put)("T1", to_bytes("wire-1"));
+    ASSERT_TRUE(again.ok());
+    EXPECT_FALSE(again.value());  // identical re-publish: a no-op
+    auto conflict = (s.*lane.put)("T1", to_bytes("wire-2"));
+    ASSERT_FALSE(conflict.ok());
+    EXPECT_EQ(conflict.error(), Errc::kConflict);
+    ASSERT_TRUE((s.*lane.find)("T1").has_value());
+    EXPECT_EQ(*(s.*lane.find)("T1"), to_bytes("wire-1"));  // the original survived
+    EXPECT_FALSE((s.*lane.find)("T2").has_value());
+    EXPECT_FALSE((s.*lane.other_find)("T1").has_value());
+    EXPECT_EQ(s.size(), lane.size_after);
+    EXPECT_EQ(s.total_bytes(), to_bytes("wire-1").size());
+  }
+}
+
+TEST(Store, PartialRangeKeepsPublicationOrder) {
   Store s;
-  auto first = s.put("T1", to_bytes("wire-1"));
-  ASSERT_TRUE(first.ok());
-  EXPECT_TRUE(first.value());
-  auto again = s.put("T1", to_bytes("wire-1"));
-  ASSERT_TRUE(again.ok());
-  EXPECT_FALSE(again.value());  // identical re-publish: a no-op
-  auto conflict = s.put("T1", to_bytes("wire-2"));
-  ASSERT_FALSE(conflict.ok());
-  EXPECT_EQ(conflict.error(), Errc::kConflict);
-  ASSERT_TRUE(s.find("T1").has_value());
-  EXPECT_EQ(*s.find("T1"), to_bytes("wire-1"));  // the original survived
-  EXPECT_FALSE(s.find("T2").has_value());
-  EXPECT_EQ(s.size(), 1u);
+  for (const char* tag : {"T9", "T1", "T5"}) {
+    ASSERT_TRUE(s.put_partial(tag, to_bytes(tag)).ok());
+  }
+  Store::RangeView all = s.partial_range(0, 100, kMaxPayload);
+  EXPECT_EQ(all.total, 3u);
+  EXPECT_EQ(all.updates,
+            (std::vector<Bytes>{to_bytes("T9"), to_bytes("T1"), to_bytes("T5")}));
+  EXPECT_EQ(s.range(0, 100, kMaxPayload).total, 0u);  // the update lane is apart
 }
 
 TEST(Store, RangeHonoursCountAndByteBudgets) {

@@ -378,6 +378,30 @@ TYPED_TEST(ThresholdBeaconTest, FetchThresholdInsufficientIsTyped) {
   EXPECT_EQ(res.error(), Errc::kInsufficientPartials);
 }
 
+// A beacon node never equivocates: re-publishing its partial is a no-op,
+// a DIFFERENT partial for a stored tag throws, and the first one stays
+// served.
+TYPED_TEST(ThresholdBeaconTest, BeaconNodeRefusesConflictingPartial) {
+  using B = TypeParam;
+  server::Timeline timeline(0);
+  simnet::Network net(timeline, to_bytes("beacon-net-3"));
+  simnet::BasicMirroredArchive<B> archive(this->params_, net, timeline, 1,
+                                          simnet::LinkSpec{});
+
+  auto [key, shares] = this->tscheme_.setup(ThresholdConfig{2, 2}, this->rng_);
+  BasicPartialUpdate<B> first = this->tscheme_.issue_partial(shares[0], kTag);
+  archive.publish_partial(0, first);
+  archive.publish_partial(0, first);
+
+  BasicPartialUpdate<B> other = this->tscheme_.issue_partial(shares[1], kTag);
+  other.index = first.index;  // same node, same tag, another signature
+  EXPECT_THROW(archive.publish_partial(0, other), Error);
+
+  std::optional<Bytes> served = archive.partial_reply(0, kTag);
+  ASSERT_TRUE(served.has_value());
+  EXPECT_EQ(*served, first.to_bytes());
+}
+
 // --- beacon-node mode on the time server -------------------------------------
 
 TYPED_TEST(ThresholdBeaconTest, TimeServerBeaconMode) {

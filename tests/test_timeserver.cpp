@@ -4,10 +4,33 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "bls12/tre381.h"
+#include "daemon/store.h"
 #include "hashing/drbg.h"
 
 namespace tre::server {
 namespace {
+
+constexpr size_t kUnbounded = std::numeric_limits<size_t>::max();
+
+template <class B>
+struct Glue;
+
+template <>
+struct Glue<core::Tre512Backend> {
+  static std::shared_ptr<const params::GdhParams> params() {
+    return params::load("tre-toy-96");
+  }
+};
+
+template <>
+struct Glue<bls12::Bls381Backend> {
+  static std::shared_ptr<const bls12::Bls12Ctx> params() {
+    return bls12::Bls12Ctx::get();
+  }
+};
 
 // --- TimeSpec -----------------------------------------------------------------
 
@@ -112,6 +135,9 @@ TEST(Timeline, RejectsBackwardsAndNegative) {
 }
 
 // --- Archive -------------------------------------------------------------------
+//
+// The server's archive is a daemon::Store of update wire bytes; these run
+// its lookup, catch-up and no-equivocation rule on real updates.
 
 class ServerFixture : public ::testing::Test {
  protected:
@@ -128,35 +154,43 @@ class ServerFixture : public ::testing::Test {
 };
 
 TEST_F(ServerFixture, ArchiveLookupAndCatchUp) {
-  UpdateArchive archive;
+  daemon::Store archive;
   for (int i = 0; i < 10; ++i) {
-    archive.put(scheme_.issue_update(server_, "tag-" + std::to_string(i)));
+    core::KeyUpdate upd = scheme_.issue_update(server_, "tag-" + std::to_string(i));
+    ASSERT_TRUE(archive.put(upd.tag, upd.to_bytes()).ok());
   }
   EXPECT_EQ(archive.size(), 10u);
-  EXPECT_TRUE(archive.contains("tag-3"));
-  EXPECT_FALSE(archive.contains("tag-99"));
+  EXPECT_TRUE(archive.find("tag-3").has_value());
+  EXPECT_FALSE(archive.find("tag-99").has_value());
   auto found = archive.find("tag-7");
   ASSERT_TRUE(found.has_value());
-  EXPECT_TRUE(scheme_.verify_update(server_.pub, *found));
+  EXPECT_TRUE(scheme_.verify_update(server_.pub,
+                                    core::KeyUpdate::from_bytes(*params_, *found)));
 
-  size_t cursor = 0;
-  EXPECT_EQ(archive.since(cursor).size(), 10u);
-  EXPECT_EQ(cursor, 10u);
-  archive.put(scheme_.issue_update(server_, "tag-10"));
-  auto fresh = archive.since(cursor);
-  ASSERT_EQ(fresh.size(), 1u);
-  EXPECT_EQ(fresh[0].tag, "tag-10");
+  // Catch-up by publication position: a receiver that has seen `total`
+  // updates asks for everything from there on.
+  daemon::Store::RangeView seen = archive.range(0, 100, kUnbounded);
+  EXPECT_EQ(seen.updates.size(), 10u);
+  EXPECT_EQ(seen.total, 10u);
+  core::KeyUpdate late = scheme_.issue_update(server_, "tag-10");
+  ASSERT_TRUE(archive.put(late.tag, late.to_bytes()).ok());
+  daemon::Store::RangeView fresh = archive.range(seen.total, 100, kUnbounded);
+  ASSERT_EQ(fresh.updates.size(), 1u);
+  EXPECT_EQ(core::KeyUpdate::from_bytes(*params_, fresh.updates[0]).tag, "tag-10");
   EXPECT_GT(archive.total_bytes(), 0u);
 }
 
 TEST_F(ServerFixture, ArchiveIdempotentPutAndConflictDetection) {
-  UpdateArchive archive;
+  daemon::Store archive;
   core::KeyUpdate upd = scheme_.issue_update(server_, "tag");
-  archive.put(upd);
-  archive.put(upd);  // idempotent
+  EXPECT_TRUE(archive.put(upd.tag, upd.to_bytes()).value());
+  EXPECT_FALSE(archive.put(upd.tag, upd.to_bytes()).value());  // idempotent
   EXPECT_EQ(archive.size(), 1u);
   core::KeyUpdate conflicting{"tag", upd.sig.doubled()};
-  EXPECT_THROW(archive.put(conflicting), Error);
+  auto refused = archive.put(conflicting.tag, conflicting.to_bytes());
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error(), Errc::kConflict);
+  EXPECT_EQ(*archive.find("tag"), upd.to_bytes());  // the original survived
 }
 
 // --- BroadcastBus ----------------------------------------------------------------
@@ -228,7 +262,7 @@ TEST(TimeServer, TickIssuesEveryDueGranule) {
   tl.advance_by(180);            // three more minutes
   EXPECT_EQ(server.tick(), 3u);
   EXPECT_EQ(server.archive().size(), 4u);
-  EXPECT_TRUE(server.archive().contains("2005-06-06T09:02Z"));
+  EXPECT_TRUE(server.archive().find("2005-06-06T09:02Z").has_value());
   EXPECT_EQ(server.stats().updates_issued, 4u);
 }
 
@@ -256,38 +290,52 @@ TEST(TimeServer, RefusesFutureIssuance) {
   EXPECT_TRUE(scheme.verify_update(server.public_key(), upd));
 }
 
-TEST(TimeServer, IssueRangeBackfillsAndMatchesSingleIssue) {
+// The two archive-hit tests below run on both backends (TimeServer.* on
+// tre-toy-96, TimeServer381.* on BLS12-381): an archived instant comes
+// back through the backend's own wire codec.
+template <class B>
+void issue_range_backfills_and_matches_single_issue() {
   Timeline tl(1118048400);  // 2005-06-06T09:00:00Z
   hashing::HmacDrbg rng(to_bytes("ts-range"));
-  auto params = params::load("tre-toy-96");
-  TimeServer server(params, tl, Granularity::kMinute, rng);
+  auto params = Glue<B>::params();
+  BasicTimeServer<B> server(params, tl, Granularity::kMinute, rng);
 
   // Pre-issue one instant inside the range: issue_range must serve it
   // from the archive, not re-sign it.
   TimeSpec mid = TimeSpec::from_unix(tl.now() - 120, Granularity::kMinute);
-  core::KeyUpdate pre = server.issue_for(mid);
+  core::BasicKeyUpdate<B> pre = server.issue_for(mid);
   EXPECT_EQ(server.stats().updates_issued, 1u);
 
   TimeSpec from = TimeSpec::from_unix(tl.now() - 240, Granularity::kMinute);
   TimeSpec to = TimeSpec::from_unix(tl.now(), Granularity::kMinute);
-  std::vector<core::KeyUpdate> range = server.issue_range(from, to, /*threads=*/2);
+  std::vector<core::BasicKeyUpdate<B>> range =
+      server.issue_range(from, to, /*threads=*/2);
   ASSERT_EQ(range.size(), 5u);  // minutes -4 .. 0 inclusive
   EXPECT_EQ(server.stats().updates_issued, 5u);  // 4 fresh + 1 archived
 
-  core::TreScheme scheme(params);
+  core::BasicTreScheme<B> scheme(params);
   TimeSpec t = from;
-  for (const core::KeyUpdate& upd : range) {
+  for (const core::BasicKeyUpdate<B>& upd : range) {
     EXPECT_EQ(upd.tag, t.canonical());
     EXPECT_TRUE(scheme.verify_update(server.public_key(), upd));
-    EXPECT_TRUE(server.archive().contains(upd.tag));
+    EXPECT_TRUE(server.archive().find(upd.tag) == upd.to_bytes());
     t = t.next();
   }
   EXPECT_EQ(range[2], pre);  // the archived instant came back verbatim
 
   // Idempotent: a second call issues nothing new.
-  std::vector<core::KeyUpdate> again = server.issue_range(from, to);
+  std::vector<core::BasicKeyUpdate<B>> again = server.issue_range(from, to);
   EXPECT_EQ(server.stats().updates_issued, 5u);
+  ASSERT_EQ(again.size(), range.size());
   for (size_t i = 0; i < again.size(); ++i) EXPECT_EQ(again[i], range[i]);
+}
+
+TEST(TimeServer, IssueRangeBackfillsAndMatchesSingleIssue) {
+  issue_range_backfills_and_matches_single_issue<core::Tre512Backend>();
+}
+
+TEST(TimeServer381, IssueRangeBackfillsAndMatchesSingleIssue) {
+  issue_range_backfills_and_matches_single_issue<bls12::Bls381Backend>();
 }
 
 TEST(TimeServer, IssueRangeRefusesFutureOrInvertedRanges) {
@@ -334,30 +382,46 @@ TEST(TimeServer, UpdatesVerifyAndDecryptEndToEnd) {
   EXPECT_EQ(*opened, msg);
 }
 
-TEST(TimeServer, MissedUpdateRecoveredFromArchive) {
+template <class B>
+void missed_update_recovered_from_archive() {
   Timeline tl(0);
   hashing::HmacDrbg rng(to_bytes("ts-missed"));
-  auto params = params::load("tre-toy-96");
-  TimeServer server(params, tl, Granularity::kHour, rng);
+  auto params = Glue<B>::params();
+  BasicTimeServer<B> server(params, tl, Granularity::kHour, rng);
   server.bus().set_loss_probability(1.0);  // receiver misses everything
 
-  core::TreScheme scheme(params);
-  core::UserKeyPair user = scheme.user_keygen(server.public_key(), rng);
+  core::BasicTreScheme<B> scheme(params);
+  core::BasicUserKeyPair<B> user = scheme.user_keygen(server.public_key(), rng);
   TimeSpec release = TimeSpec::from_unix(3600, Granularity::kHour);
   Bytes msg = to_bytes("recovered");
-  core::Ciphertext ct =
+  core::BasicCiphertext<B> ct =
       scheme.encrypt(msg, user.pub, server.public_key(), release.canonical(), rng);
 
   int heard = 0;
-  server.bus().subscribe([&](const core::KeyUpdate&) { ++heard; });
+  server.bus().subscribe([&](const core::BasicKeyUpdate<B>&) { ++heard; });
   server.run(2 * 3600);
   tl.advance_to(2 * 3600);
   EXPECT_EQ(heard, 0);  // all broadcasts lost
 
   // Catch-up from the public archive still works.
-  auto upd = server.archive().find(release.canonical());
-  ASSERT_TRUE(upd.has_value());
-  EXPECT_EQ(scheme.decrypt(ct, user.a, *upd), msg);
+  auto wire = server.archive().find(release.canonical());
+  ASSERT_TRUE(wire.has_value());
+  auto upd = core::BasicKeyUpdate<B>::from_bytes(*params, *wire);
+  EXPECT_EQ(scheme.decrypt(ct, user.a, upd), msg);
+
+  // Asking the server again decodes the archived bytes instead of
+  // re-signing.
+  const std::uint64_t issued = server.stats().updates_issued;
+  EXPECT_EQ(server.issue_for(release), upd);
+  EXPECT_EQ(server.stats().updates_issued, issued);
+}
+
+TEST(TimeServer, MissedUpdateRecoveredFromArchive) {
+  missed_update_recovered_from_archive<core::Tre512Backend>();
+}
+
+TEST(TimeServer381, MissedUpdateRecoveredFromArchive) {
+  missed_update_recovered_from_archive<bls12::Bls381Backend>();
 }
 
 }  // namespace

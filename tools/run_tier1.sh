@@ -50,11 +50,11 @@
 # including BLS12-381's p and r (FpWideReductionTest), the batch
 # tag-cache publish under the batched H1 (SnapshotCacheTest.InsertMany*),
 # every suite whose name carries "381" (Tre381Test, Tre381ParityTest,
-# Threshold381Test, Bls381GoldenTest, Bls381VectorsTest and the
-# Bls381Backend instantiations of the typed suites), and the two-backend
-# CLI roundtrip — for fast iteration on the modern curve. The default
-# (BACKEND unset or "all") runs the full suite, which already contains
-# those tests: the plain gate covers both backends.
+# Threshold381Test, TimeServer381, Bls381GoldenTest, Bls381VectorsTest
+# and the Bls381Backend instantiations of the typed suites), and the
+# two-backend CLI roundtrip — for fast iteration on the modern curve.
+# The default (BACKEND unset or "all") runs the full suite, which
+# already contains those tests: the plain gate covers both backends.
 #
 # SCALING=1 (after the test leg) runs bench_throughput — receiver-side
 # decryption at 1/2/4/8 threads — and FAILS if threads_8/threads_1 falls
